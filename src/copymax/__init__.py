@@ -33,13 +33,10 @@ from .graphs import (
     write_graph6,
 )
 from .weightings import (
-    Weighting,
     WeightingSpectrum,
-    enumerate_weightings,
     fractional_independence_number,
-    interior_limit_constant,
+    maximal_weighting,
     spectrum,
-    star_limit_constant,
 )
 from .density import (
     ClassFractions,
@@ -52,6 +49,8 @@ from .density import (
     class_fractions,
     clique_density,
     crossover_beta,
+    crossover_bracket,
+    curve_sample,
     density_curve,
     star_density,
     t_density,
@@ -65,7 +64,6 @@ from .lp import (
     dual_lp,
     duality_check,
     epsilon_for_density,
-    maximal_weighting,
     primal_lp,
     primal_optimum_formula,
     solve_lp,

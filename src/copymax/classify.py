@@ -21,18 +21,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .density import attribute_winner, best_t_density, clique_density, star_density
+from .density import best_t_density, curve_sample
 from .graphs import (
     Graph,
     enumerate_connected_graphs,
     graph_from_edge_mask,
-    independent_set_census,
     is_connected,
     write_graph6,
     _graph_classes,
 )
 from .hosts import copies_count, three_class_graph
-from .weightings import fractional_independence_number, spectrum
+from .weightings import spectrum
 
 MAX_EX_VERTICES = 9
 
@@ -98,18 +97,11 @@ def default_beta_grid():
     return [float(b) for b in np.unique(grid)]
 
 
-def _winner_at(spec, beta, q_grid):
-    prof = best_t_density(spec, beta, q_grid=q_grid)
-    t0 = star_density(spec, beta)
-    t1 = clique_density(spec, beta)
-    return attribute_winner(prof.value, t0, t1), prof.q_star
-
-
 def _refine_boundary(spec, lo, hi, left_winner, q_grid, tol):
     """Bisect the winner change inside (lo, hi) to absolute tolerance tol."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _winner_at(spec, mid, q_grid)[0] == left_winner:
+        if curve_sample(spec, mid, q_grid).winner == left_winner:
             lo = mid
         else:
             hi = mid
@@ -125,8 +117,8 @@ def classify_type(g: Graph, betas=None, q_grid: int = 128,
         betas = default_beta_grid()
     samples = []
     for beta in betas:
-        w, q_star = _winner_at(spec, beta, q_grid)
-        samples.append((beta, w, q_star))
+        s = curve_sample(spec, beta, q_grid)
+        samples.append((beta, s.winner, s.q_star))
     runs = [samples[0][1]]
     changes = []                     # (index before change)
     for i in range(1, len(samples)):
@@ -186,10 +178,8 @@ def search_counterexamples(max_v: int):
     S or K."""
     out = []
     for g in enumerate_connected_graphs(max_v):
-        alpha_star = fractional_independence_number(g)
-        if alpha_star <= Fraction(g.n, 2):
-            continue
-        if alpha_star > independent_set_census(g).alpha:
+        spec = spectrum(g)
+        if spec.alpha_star > max(spec.alpha, Fraction(g.n, 2)):
             out.append(g)
     return out
 
@@ -211,21 +201,21 @@ def sweep_connected_graphs(max_v: int, q_grid: int = 128, tol: float = 1e-6):
         raise ValueError("the full numeric sweep is limited to 5 vertices")
     rows = []
     for g in enumerate_connected_graphs(max_v):
-        census = independent_set_census(g)
-        alpha_star = fractional_independence_number(g)
+        spec = spectrum(g)
+        alpha, alpha_star = spec.alpha, spec.alpha_star
         cls = classify_type(g, q_grid=q_grid, tol=tol)
-        predicted = _predicted_start(census.alpha, alpha_star, g.n)
+        predicted = _predicted_start(alpha, alpha_star, g.n)
         if alpha_star == Fraction(g.n, 2) and cls.pattern != "K":
             raise RuntimeError(f"{cls.graph_id}: expected pure K pattern, got {cls.pattern}")
-        if census.alpha > Fraction(g.n, 2) and not cls.pattern.startswith("S"):
+        if alpha > Fraction(g.n, 2) and not cls.pattern.startswith("S"):
             raise RuntimeError(f"{cls.graph_id}: expected S start, got {cls.pattern}")
-        if alpha_star > max(Fraction(census.alpha), Fraction(g.n, 2)) and \
+        if alpha_star > max(Fraction(alpha), Fraction(g.n, 2)) and \
                 not cls.pattern.startswith("T"):
             raise RuntimeError(f"{cls.graph_id}: expected T start, got {cls.pattern}")
         rows.append(SweepRow(
             graph6=cls.graph_id, v=g.n, e=g.edge_count,
-            alpha=census.alpha, alpha_star=alpha_star,
-            max_independent_sets=census.max_sets,
+            alpha=alpha, alpha_star=alpha_star,
+            max_independent_sets=spec.max_independent_sets,
             predicted_start=predicted, pattern=cls.pattern,
             gamma=cls.gamma, delta=cls.delta,
         ))

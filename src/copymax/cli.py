@@ -133,7 +133,7 @@ def cmd_crossover(args):
         lo, hi = (float(x) for x in args.bracket.split(":"))
         bracket = (lo, hi)
     else:
-        bracket = _auto_bracket(spec, q1, q2)
+        bracket = density.crossover_bracket(spec, q1, q2)
     root = density.crossover_beta(spec, q1, q2, bracket, tol=args.tol)
     out = {
         "graph6": write_graph6(g),
@@ -145,20 +145,6 @@ def cmd_crossover(args):
     }
     _emit(_json_text(out), args.out)
     return 0
-
-
-def _auto_bracket(spec, q1, q2):
-    grid = np.geomspace(1e-6, 1.0, 400)
-    f = lambda b: density.t_density(spec, b, q1) - density.t_density(spec, b, q2)
-    prev_b, prev_f = None, None
-    for b in grid:
-        val = f(float(b))
-        if val == 0.0:
-            return (float(b) * 0.99, min(float(b) * 1.01, 1.0))
-        if prev_f is not None and (val > 0.0) != (prev_f > 0.0):
-            return (prev_b, float(b))
-        prev_b, prev_f = float(b), val
-    raise ValueError("no crossover found on (1e-6, 1); give --bracket explicitly")
 
 
 def cmd_classify(args):
@@ -186,20 +172,17 @@ def cmd_oracle(args):
 
 def cmd_search(args):
     found = cls.search_counterexamples(args.max_v)
-    out = {
-        "max_v": args.max_v,
-        "count": len(found),
-        "graphs": [
-            {
-                "graph6": write_graph6(g),
-                "v": g.n,
-                "e": g.edge_count,
-                "alpha": graph_invariants(g).alpha,
-                "alpha_star": str(weightings.fractional_independence_number(g)),
-            }
-            for g in found
-        ],
-    }
+    graphs = []
+    for g in found:
+        spec = weightings.spectrum(g)
+        graphs.append({
+            "graph6": write_graph6(g),
+            "v": g.n,
+            "e": g.edge_count,
+            "alpha": spec.alpha,
+            "alpha_star": str(spec.alpha_star),
+        })
+    out = {"max_v": args.max_v, "count": len(found), "graphs": graphs}
     _emit(_json_text(out), args.out)
     return 0
 

@@ -215,22 +215,39 @@ def attribute_winner(f_T: float, t_star: float, t_clique: float,
     return "T"
 
 
+def curve_sample(spec, beta: float, q_grid: int = 128) -> CurveSample:
+    """The optimised profile, both endpoint hosts and the winner at one beta."""
+    prof = best_t_density(spec, beta, q_grid=q_grid)
+    t0 = star_density(spec, beta)
+    t1 = clique_density(spec, beta)
+    return CurveSample(beta=beta, f_T=prof.value, q_star=prof.q_star,
+                       t_star=t0, t_clique=t1,
+                       winner=attribute_winner(prof.value, t0, t1))
+
+
 def density_curve(spec, betas, q_grid: int = 128, graph_id: str = "") -> DensityCurve:
     betas = list(betas)
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta grid must be strictly increasing")
-    samples = []
-    for beta in betas:
-        prof = best_t_density(spec, beta, q_grid=q_grid)
-        t0 = star_density(spec, beta)
-        t1 = clique_density(spec, beta)
-        samples.append(CurveSample(
-            beta=beta, f_T=prof.value, q_star=prof.q_star,
-            t_star=t0, t_clique=t1,
-            winner=attribute_winner(prof.value, t0, t1),
-        ))
-    return DensityCurve(graph_id=graph_id, samples=tuple(samples),
+    samples = tuple(curve_sample(spec, beta, q_grid) for beta in betas)
+    return DensityCurve(graph_id=graph_id, samples=samples,
                         grid={"q_grid": q_grid, "points": len(betas)})
+
+
+def crossover_bracket(spec, q1: float, q2: float):
+    """First sign change of t(., q1) - t(., q2) on a 400-point geometric
+    grid over [1e-6, 1], as a bracket for crossover_beta."""
+    grid = np.geomspace(1e-6, 1.0, 400)
+    f = lambda b: t_density(spec, b, q1) - t_density(spec, b, q2)
+    prev_b, prev_f = None, None
+    for b in grid:
+        val = f(float(b))
+        if val == 0.0:
+            return (float(b) * 0.99, min(float(b) * 1.01, 1.0))
+        if prev_f is not None and (val > 0.0) != (prev_f > 0.0):
+            return (prev_b, float(b))
+        prev_b, prev_f = float(b), val
+    raise ValueError("no crossover found on (1e-6, 1); give --bracket explicitly")
 
 
 def crossover_beta(spec, q1: float, q2: float, bracket, tol: float = 1e-6) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .weightings import enumerate_weightings, fractional_independence_number
+from .weightings import maximal_weighting
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -259,13 +259,6 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 # ---------------------------------------------------------------------------
 # closed form, witnesses and the duality report
 
-def maximal_weighting(g: Graph):
-    """First (in census order) weighting attaining the maximum total."""
-    ws = enumerate_weightings(g)
-    best = max(sum(w.halves) for w in ws)
-    return next(w for w in ws if sum(w.halves) == best)
-
-
 def primal_optimum_formula(g: Graph, eps):
     """Closed-form optimum v - eps (v - alpha*) with its witness point.
 
@@ -273,10 +266,10 @@ def primal_optimum_formula(g: Graph, eps):
     matches the LP optimum, exactly when eps <= 1.
     """
     eps = _as_eps(eps)
-    alpha_star = fractional_independence_number(g)
     phi = maximal_weighting(g)
+    alpha_star = Fraction(sum(phi), 2)
     witness = {
-        f"x{u + 1}": 1 - eps * (1 - phi.value(u))
+        f"x{u + 1}": 1 - eps * (1 - Fraction(phi[u], 2))
         for u in range(g.n)
     }
     value = g.n - eps * (g.n - alpha_star)

@@ -9,7 +9,9 @@ weights are stored as integers counted in halves.
 
 The census of weightings by their (zero, half, one) vertex counts (the
 "spectrum") is the sufficient statistic for every asymptotic density
-formula downstream.
+formula downstream.  It is counted once, by a memoised walk that never
+builds the weightings themselves, and alpha, alpha*, the maximiser counts
+and a maximal weighting are all read from that one count.
 """
 
 from __future__ import annotations
@@ -18,39 +20,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .graphs import Graph, independent_set_census
+from .graphs import Graph
 
 MAX_WEIGHTING_VERTICES = 16
-
-
-@dataclass(frozen=True)
-class Weighting:
-    """One weighting, vertex weights in halves (0, 1 or 2 per vertex)."""
-
-    halves: tuple
-
-    @property
-    def r(self):
-        return self.halves.count(0)
-
-    @property
-    def y(self):
-        return self.halves.count(1)
-
-    @property
-    def b(self):
-        return self.halves.count(2)
-
-    @property
-    def total(self):
-        return Fraction(sum(self.halves), 2)
-
-    def value(self, u):
-        return Fraction(self.halves[u], 2)
-
-    def signature(self):
-        return (self.r, self.y, self.b)
 
 
 @dataclass(frozen=True)
@@ -114,116 +88,101 @@ class WeightingSpectrum:
         return json.dumps(self.to_json_dict())
 
 
-def enumerate_weightings(g: Graph) -> list:
-    """All valid weightings, found by depth-first assignment with per-edge
-    pruning; sorted by (r, y, b) signature then by the weight tuple."""
+
+
+def _moves(later, half, zero):
+    """(weight in halves, caps left on the later vertices) for every weight
+    the current vertex may take, lowest first.
+
+    Masks are relative to the current vertex (bit 0): ``half`` holds the
+    unassigned vertices capped at 1/2, ``zero`` those capped at 0, and
+    ``later`` the current vertex's later neighbours.
+    """
+    out = [(0, half >> 1, zero >> 1)]
+    if not zero & 1:
+        out.append((1, ((half | later) & ~zero) >> 1, zero >> 1))
+        if not half & 1:
+            out.append((2, (half & ~later) >> 1, (zero | later) >> 1))
+    return out
+
+
+def _census(g: Graph):
+    """The memoised count behind every census figure.
+
+    ``count(u, half, zero)`` maps (y, b) to the number of weightings of
+    vertices u..n-1 under the caps ``half`` and ``zero`` (relative to u, as
+    in ``_moves``); r is whatever is left.  Weights are assigned in vertex
+    order and a weight caps only later neighbours, so the count depends on
+    nothing else.  ``count(0, 0, 0)`` is the whole census.
+    """
     n = g.n
     if n > MAX_WEIGHTING_VERTICES:
-        raise ValueError(f"weighting enumeration limited to {MAX_WEIGHTING_VERTICES} vertices")
-    adj = g.adj
-    # cap[u] = largest weight u may still take given already-assigned neighbours
-    cap = [2] * n
-    halves = [0] * n
-    out = []
+        raise ValueError(f"weighting census limited to {MAX_WEIGHTING_VERTICES} vertices")
+    later = [g.adj[u] >> u for u in range(n)]
 
-    def assign(u):
+    @lru_cache(maxsize=None)
+    def count(u, half, zero):
         if u == n:
-            out.append(Weighting(tuple(halves)))
-            return
-        later = adj[u] >> (u + 1)
-        for w in range(cap[u] + 1):
-            halves[u] = w
-            if w == 0:
-                assign(u + 1)
-                continue
-            # tighten caps of later neighbours to 2 - w, restore afterwards
-            touched = []
-            m = later
-            base = u + 1
-            limit = 2 - w
-            while m:
-                low = m & -m
-                v = base + low.bit_length() - 1
-                m ^= low
-                if cap[v] > limit:
-                    touched.append((v, cap[v]))
-                    cap[v] = limit
-            assign(u + 1)
-            for v, old in touched:
-                cap[v] = old
-        halves[u] = 0
+            return {(0, 0): 1}
+        out = Counter()
+        for w, h, z in _moves(later[u], half, zero):
+            dy, db = w == 1, w == 2
+            for (y, b), mult in count(u + 1, h, z).items():
+                out[y + dy, b + db] += mult
+        return out
 
-    assign(0)
-    out.sort(key=lambda w: (w.signature(), w.halves))
-    return out
+    return count
+
+
+def _max_halves(table) -> int:
+    return max(y + 2 * b for y, b in table)
 
 
 def fractional_independence_number(g: Graph) -> Fraction:
     """Maximum total weight, as an exact half-integer."""
-    n = g.n
-    if n > MAX_WEIGHTING_VERTICES:
-        raise ValueError(f"weighting search limited to {MAX_WEIGHTING_VERTICES} vertices")
-    adj = g.adj
-    cap = [2] * n
-    best = 0
+    return Fraction(_max_halves(_census(g)(0, 0, 0)), 2)
 
-    def search(u, total):
-        nonlocal best
-        if total + 2 * (n - u) <= best:  # optimistic bound: all 1s from here
-            return
-        if u == n:
-            best = total
-            return
-        later = adj[u] >> (u + 1)
-        for w in (2, 1, 0):
-            if w > cap[u]:
-                continue
-            touched = []
-            if w:
-                m = later
-                base = u + 1
-                limit = 2 - w
-                while m:
-                    low = m & -m
-                    v = base + low.bit_length() - 1
-                    m ^= low
-                    if cap[v] > limit:
-                        touched.append((v, cap[v]))
-                        cap[v] = limit
-            search(u + 1, total + w)
-            for v, old in touched:
-                cap[v] = old
 
-    search(0, 0)
-    return Fraction(best, 2)
+def maximal_weighting(g: Graph) -> tuple:
+    """First weighting (in halves) attaining the maximum total, in census
+    order: fewest zeros, then lexicographically smallest.
+
+    Walks down the census memo, lowest weight first, keeping a weight only
+    when the rest of the walk can still reach the target (y, b).
+    """
+    count = _census(g)
+    table = count(0, 0, 0)
+    best = _max_halves(table)
+    # among maximisers r fixes (y, b); the largest y + b has the fewest zeros
+    y, b = max((yb for yb in table if yb[0] + 2 * yb[1] == best), key=sum)
+    halves = []
+    half = zero = 0
+    for u in range(g.n):
+        for w, h, z in _moves(g.adj[u] >> u, half, zero):
+            rest = (y - (w == 1), b - (w == 2))
+            if count(u + 1, h, z).get(rest):
+                break
+        halves.append(w)
+        half, zero, (y, b) = h, z, rest
+    return tuple(halves)
 
 
 def spectrum(g: Graph) -> WeightingSpectrum:
     """Weighting census of a graph without isolated vertices."""
     if g.has_isolated_vertices:
         raise ValueError("spectrum requires a graph with no isolated vertices")
-    weightings = enumerate_weightings(g)
-    sig = Counter(w.signature() for w in weightings)
-    census = independent_set_census(g)
-    best_halves = max(sum(w.halves) for w in weightings)
-    alpha_star = Fraction(best_halves, 2)
-    max_red = int(g.n - alpha_star)  # floor, since alpha_star is half-integral
-    counts = [0] * (max_red + 1)
-    for w in weightings:
-        if sum(w.halves) == best_halves:
-            counts[w.r] += 1
+    table = _census(g)(0, 0, 0)
+    entries = tuple(sorted(((g.n - y - b, y, b), m) for (y, b), m in table.items()))
+    best = _max_halves(table)
+    alpha_star = Fraction(best, 2)
+    counts = [0] * (int(g.n - alpha_star) + 1)  # floor: alpha_star is half-integral
+    for (r, y, b), mult in entries:
+        if y + 2 * b == best:
+            counts[r] += mult
     return WeightingSpectrum(
         v=g.n,
-        entries=tuple(sorted(sig.items())),
-        alpha=census.alpha,
+        entries=entries,
+        alpha=max(b for y, b in table if y == 0),
         alpha_star=alpha_star,
         maximiser_counts=tuple(counts),
     )
-
-
-def star_limit_constant(g: Graph) -> Fraction:
-    return spectrum(g).star_limit_constant()
-
-
-def interior_limit_constant(g: Graph, q: float) -> float:
-    return spectrum(g).interior_limit_constant(q)

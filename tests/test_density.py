@@ -10,6 +10,8 @@ from copymax.density import (
     class_fractions,
     clique_density,
     crossover_beta,
+    crossover_bracket,
+    curve_sample,
     density_curve,
     star_density,
     t_density,
@@ -217,6 +219,13 @@ def test_crossover_p4():
     assert root == pytest.approx(0.0865, abs=5e-4)
 
 
+def test_crossover_bracket_g6(g6_spec):
+    lo, hi = crossover_bracket(g6_spec, 1.0, Q_HALF)
+    assert lo < 0.01613474 < hi
+    assert crossover_beta(g6_spec, 1.0, Q_HALF, (lo, hi), tol=1e-9) == \
+        pytest.approx(0.01613474, abs=1e-6)
+
+
 def test_crossover_requires_sign_change(g6_spec):
     with pytest.raises(ValueError):
         crossover_beta(g6_spec, 1.0, Q_HALF, (0.5, 0.9))
@@ -252,6 +261,15 @@ def test_density_curve_csv(g6_spec):
     assert lines[1].startswith("0.005,")
     winners = [ln.split(",")[-1] for ln in lines[1:]]
     assert winners[0] == "T" and winners[-1] == "K"
+
+
+def test_curve_sample_matches_parts(g6_spec):
+    s = curve_sample(g6_spec, 0.005)
+    prof = best_t_density(g6_spec, 0.005)
+    assert (s.f_T, s.q_star) == (prof.value, prof.q_star)
+    assert s.t_star == star_density(g6_spec, 0.005)
+    assert s.t_clique == clique_density(g6_spec, 0.005)
+    assert s.winner == attribute_winner(s.f_T, s.t_star, s.t_clique) == "T"
 
 
 def test_density_curve_requires_increasing(g6_spec):

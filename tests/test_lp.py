@@ -10,6 +10,7 @@ from copymax.graphs import (
     cycle_graph,
     enumerate_connected_graphs,
     path_graph,
+    star_graph,
 )
 from copymax.lp import (
     dual_lp,
@@ -20,7 +21,8 @@ from copymax.lp import (
     solve_lp,
     _simplex_max,
 )
-from copymax.weightings import fractional_independence_number
+from copymax.weightings import fractional_independence_number, maximal_weighting
+from oracles import ref_weightings
 
 
 def test_formula_values(g6):
@@ -63,6 +65,12 @@ def test_duality_check_values(g6):
     assert rep.formula == 1
 
 
+def test_duality_check_star15():
+    # 16 vertices, 3^15 + 2^15 + 1 weightings: the census must not list them
+    rep = duality_check(star_graph(15), Fraction(1, 2))
+    assert rep.primal == rep.dual == rep.formula == Fraction(31, 2)
+
+
 def test_duality_json_schema(g6):
     d = duality_check(g6, Fraction(1, 10)).to_json_dict()
     assert d["primal"] == d["dual"] == d["formula"] == "23/4"
@@ -89,15 +97,14 @@ def test_strong_duality_all_small_graphs():
 
 
 def test_witness_feasible_for_every_maximal_weighting():
-    from copymax.weightings import enumerate_weightings
-
     for g in enumerate_connected_graphs(4):
         alpha_star = fractional_independence_number(g)
-        maximal = [w for w in enumerate_weightings(g) if w.total == alpha_star]
+        maximal = [w for w in ref_weightings(g) if Fraction(sum(w), 2) == alpha_star]
         assert maximal
+        assert maximal_weighting(g) in maximal
         for phi in maximal:
             for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(1)):
-                x = [1 - eps * (1 - phi.value(u)) for u in range(g.n)]
+                x = [1 - eps * (1 - Fraction(phi[u], 2)) for u in range(g.n)]
                 assert all(0 <= xi <= 1 for xi in x)
                 assert all(x[u] + x[v] <= 2 - eps for u, v in g.edges)
                 assert sum(x) == g.n - eps * (g.n - alpha_star)

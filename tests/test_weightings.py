@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from copymax.graphs import (
@@ -17,11 +18,10 @@ from copymax.graphs import (
     star_graph,
 )
 from copymax.weightings import (
-    enumerate_weightings,
     fractional_independence_number,
-    interior_limit_constant,
+    maximal_weighting,
     spectrum,
-    star_limit_constant,
+    _census,
 )
 from oracles import ref_weightings
 
@@ -31,27 +31,63 @@ def random_graph(rng, n, p=0.5):
     return Graph(n, edges)
 
 
+def signature(halves):
+    return (halves.count(0), halves.count(1), halves.count(2))
+
+
+def census_table(g):
+    """The whole census, {(y, b): multiplicity}, isolated vertices allowed."""
+    return dict(_census(g)(0, 0, 0))
+
+
 def test_k2_weightings_explicit():
-    ws = enumerate_weightings(complete_graph(2))
-    assert len(ws) == 6
-    assert {w.halves for w in ws} == {(0, 0), (0, 1), (1, 0), (0, 2), (2, 0), (1, 1)}
+    assert set(ref_weightings(complete_graph(2))) == {
+        (0, 0), (0, 1), (1, 0), (0, 2), (2, 0), (1, 1)}
+    assert spectrum(complete_graph(2)).total_weightings == 6
 
 
 def test_single_vertex_weightings():
-    assert len(enumerate_weightings(empty_graph(1))) == 3
+    assert census_table(empty_graph(1)) == {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+    assert maximal_weighting(empty_graph(1)) == (2,)
 
 
 def test_g6_weighting_count(g6):
-    assert len(enumerate_weightings(g6)) == 145
+    assert spectrum(g6).total_weightings == 145
 
 
 def test_enumeration_matches_product_scan(g6):
     rng = random.Random(515)
     graphs = [g6, cycle_graph(5), star_graph(4)]
-    graphs += [random_graph(rng, rng.randint(2, 6)) for _ in range(10)]
+    graphs += [random_graph(rng, rng.randint(1, 6)) for _ in range(10)]
     for g in graphs:
-        ours = sorted(w.halves for w in enumerate_weightings(g))
-        assert ours == sorted(ref_weightings(g))
+        want = Counter(signature(w) for w in ref_weightings(g))
+        assert census_table(g) == {(y, b): m for (r, y, b), m in want.items()}
+
+
+def test_maximal_weighting_is_first_in_census_order():
+    # census order: (r, y, b) signature, then the weight tuple itself
+    rng = random.Random(2024)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 7), p=rng.uniform(0.1, 0.9))
+        ws = sorted(ref_weightings(g), key=lambda w: (signature(w), w))
+        best = max(sum(w) for w in ws)
+        assert maximal_weighting(g) == next(w for w in ws if sum(w) == best)
+        assert fractional_independence_number(g) == Fraction(best, 2)
+
+
+def test_honest_limit_star15():
+    # 3^15 weightings with a zero centre, 2^15 with a half, 1 with a one
+    assert spectrum(star_graph(15)).total_weightings == 3 ** 15 + 2 ** 15 + 1
+
+
+def test_honest_limit_c16():
+    # weightings of a cycle are closed walks of the compatibility matrix
+    m = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0]], dtype=object)
+    walks = np.identity(3, dtype=object)
+    for _ in range(16):
+        walks = walks.dot(m)
+    assert np.trace(walks) == 422266
+    assert spectrum(cycle_graph(16)).total_weightings == 422266
 
 
 def test_fractional_independence_values(g6):
@@ -99,34 +135,42 @@ def test_spectrum_consistency_random():
             continue
         checked += 1
         sp = spectrum(g)
-        ws = enumerate_weightings(g)
+        ws = ref_weightings(g)
         assert sp.total_weightings == len(ws)
         # signatures add up entry by entry
-        assert dict(sp.entries) == dict(Counter(w.signature() for w in ws))
+        assert dict(sp.entries) == dict(Counter(signature(w) for w in ws))
         # the y = 0 slice is the independent-set census in disguise
         census = independent_set_census(g)
+        assert (sp.alpha, sp.max_independent_sets) == (census.alpha, census.max_sets)
         for k in range(g.n + 1):
             assert sp.y_zero_slice().get((g.n - k, 0, k), 0) == census.counts[k]
         # alpha* dominates both the 0/1 optimum and the all-half weighting
         assert sp.alpha_star >= census.alpha
         assert sp.alpha_star >= Fraction(g.n, 2)
         # r + y/2 >= v - alpha*, equality exactly on the maximisers
+        maximisers = Counter()
         for w in ws:
-            margin = Fraction(2 * w.r + w.y, 2)
+            r, y, _ = signature(w)
+            margin = Fraction(2 * r + y, 2)
             assert margin >= g.n - sp.alpha_star
-            assert (margin == g.n - sp.alpha_star) == (w.total == sp.alpha_star)
+            is_max = Fraction(sum(w), 2) == sp.alpha_star
+            assert (margin == g.n - sp.alpha_star) == is_max
+            maximisers[r] += is_max
+        assert sp.maximiser_counts == tuple(maximisers[i] for i in range(len(sp.maximiser_counts)))
+        assert sum(sp.maximiser_counts) == sum(maximisers.values())
 
 
-def test_star_limit_constants(g6):
-    assert star_limit_constant(g6) == Fraction(3, 8)
-    assert star_limit_constant(complete_graph(2)) == 1
-    assert star_limit_constant(star_graph(3)) == Fraction(1, 2)
+def test_star_limit_constants(g6_spec):
+    assert g6_spec.star_limit_constant() == Fraction(3, 8)
+    assert spectrum(complete_graph(2)).star_limit_constant() == 1
+    assert spectrum(star_graph(3)).star_limit_constant() == Fraction(1, 2)
 
 
-def test_interior_limit_constant_values(g6):
-    got = interior_limit_constant(g6, 1.0 / math.sqrt(2.0))
+def test_interior_limit_constant_values(g6_spec):
+    got = g6_spec.interior_limit_constant(1.0 / math.sqrt(2.0))
     assert got == pytest.approx(1.0 / (8.0 * math.sqrt(2.0)), rel=1e-12)
-    assert interior_limit_constant(complete_graph(2), 0.5) == pytest.approx(1.0, rel=1e-12)
+    k2 = spectrum(complete_graph(2))
+    assert k2.interior_limit_constant(0.5) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_interior_limit_constant_positive():
@@ -136,13 +180,13 @@ def test_interior_limit_constant_positive():
         if g.has_isolated_vertices:
             continue
         q = rng.uniform(0.05, 0.95)
-        assert interior_limit_constant(g, q) > 0.0
+        assert spectrum(g).interior_limit_constant(q) > 0.0
 
 
-def test_interior_limit_constant_domain(g6):
+def test_interior_limit_constant_domain(g6_spec):
     for q in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
-            interior_limit_constant(g6, q)
+            g6_spec.interior_limit_constant(q)
 
 
 def test_spectrum_json_schema(g6_spec):
@@ -155,4 +199,6 @@ def test_spectrum_json_schema(g6_spec):
 
 def test_weighting_cap():
     with pytest.raises(ValueError):
-        enumerate_weightings(empty_graph(17))
+        fractional_independence_number(empty_graph(17))
+    with pytest.raises(ValueError):
+        spectrum(cycle_graph(17))
