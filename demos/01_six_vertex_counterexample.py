@@ -15,8 +15,6 @@ from copymax import (
     builtin_graph,
     clique_density,
     crossover_beta,
-    fractional_independence_number,
-    independent_set_census,
     spectrum,
     star_density,
     t_density,
@@ -27,13 +25,12 @@ Q = 1.0 / math.sqrt(2.0)
 g = builtin_graph("G6")
 print("graph:", g)
 
-census = independent_set_census(g)
-print(f"\nindependence number alpha = {census.alpha}")
-print(f"maximum independent sets A = {census.max_sets}")
-print(f"fractional independence number alpha* = {fractional_independence_number(g)}")
+spec = spectrum(g)
+print(f"\nindependence number alpha = {spec.alpha}")
+print(f"maximum independent sets A = {spec.max_independent_sets}")
+print(f"fractional independence number alpha* = {spec.alpha_star}")
 print(f"automorphisms = {automorphism_count(g)}")
 
-spec = spectrum(g)
 print(f"\nweightings: {spec.total_weightings} total")
 print("0/1 slice (drives the quasi-star density):")
 for (r, y, b), mult in sorted(spec.y_zero_slice().items()):

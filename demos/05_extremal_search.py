@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Exact extremal counts at tiny scale, and counterexample hunting.
 
-At n <= 9 the maximum copy count over all hosts with a bounded edge budget
+At n <= 7 the maximum copy count over all hosts with a bounded edge budget
 can be computed by exhausting isomorphism classes.  Separately, scanning
 all small connected graphs for alpha* > max(alpha, v/2) finds every graph
 whose optimal host family must open with a strictly interior member: none
@@ -11,10 +11,9 @@ exist on five or fewer vertices, three classes exist on six.
 from copymax import (
     complete_graph,
     exhaustive_ex,
-    fractional_independence_number,
-    independent_set_census,
     path_graph,
     search_counterexamples,
+    spectrum,
     three_class_host_probe,
     write_graph6,
 )
@@ -40,6 +39,6 @@ for max_v in (4, 5, 6):
     found = search_counterexamples(max_v)
     print(f"  up to {max_v} vertices: {len(found)} graphs")
     for g in found:
+        spec = spectrum(g)
         print(f"    {write_graph6(g)}: v = {g.n}, e = {g.edge_count}, "
-              f"alpha = {independent_set_census(g).alpha}, "
-              f"alpha* = {fractional_independence_number(g)}")
+              f"alpha = {spec.alpha}, alpha* = {spec.alpha_star}")

@@ -9,8 +9,6 @@ on explicit finite graphs.
 
 from .graphs import (
     Graph,
-    GraphInvariants,
-    IndependenceCensus,
     are_isomorphic,
     automorphism_count,
     builtin_graph,
@@ -22,9 +20,6 @@ from .graphs import (
     empty_graph,
     enumerate_connected_graphs,
     enumerate_graph_classes,
-    graph_invariants,
-    independence_number,
-    independent_set_census,
     is_connected,
     parse_edge_list,
     parse_graph6,

@@ -23,6 +23,7 @@ import numpy as np
 
 from .density import best_t_density, curve_sample
 from .graphs import (
+    MAX_ENUMERATION,
     Graph,
     enumerate_connected_graphs,
     graph_from_edge_mask,
@@ -32,8 +33,6 @@ from .graphs import (
 )
 from .hosts import copies_count, three_class_graph
 from .weightings import spectrum
-
-MAX_EX_VERTICES = 9
 
 
 @dataclass(frozen=True)
@@ -235,8 +234,8 @@ def exhaustive_ex(n: int, e: int, pattern: Graph):
     Adding an edge never destroys a copy, so the maximum is attained with
     exactly min(e, C(n,2)) edges; only that level is counted.
     """
-    if n > MAX_EX_VERTICES:
-        raise ValueError(f"exhaustive search limited to {MAX_EX_VERTICES} vertices")
+    if n > MAX_ENUMERATION:
+        raise ValueError(f"exhaustive search limited to {MAX_ENUMERATION} vertices")
     if e < 0:
         raise ValueError("edge bound must be non-negative")
     e = min(e, n * (n - 1) // 2)

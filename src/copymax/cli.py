@@ -18,9 +18,9 @@ import numpy as np
 from . import classify as cls
 from . import density, hosts, lp, weightings
 from .graphs import (
+    automorphism_count,
     builtin_graph,
     clique_with_pendant_star,
-    graph_invariants,
     parse_edge_list,
     parse_graph6,
     write_graph6,
@@ -89,19 +89,21 @@ def _json_text(obj):
 
 def cmd_analyze(args):
     g = _load_graph(args)
-    inv = graph_invariants(g)
+    # before the census, so a graph over both size limits reports the
+    # automorphism limit
+    automorphisms = automorphism_count(g)
     spec = weightings.spectrum(g)
     q = _parse_q(args.q) if args.q is not None else 1.0 / math.sqrt(2.0)
     out = {
         "graph6": write_graph6(g),
         "vertices": g.n,
         "edges": g.edge_count,
-        "alpha": inv.alpha,
+        "alpha": spec.alpha,
         "alpha_star": str(spec.alpha_star),
         "alpha_star_float": float(spec.alpha_star),
-        "max_independent_sets": inv.max_independent_set_count,
-        "independent_set_counts": list(inv.independent_counts),
-        "automorphisms": inv.automorphism_count,
+        "max_independent_sets": spec.max_independent_sets,
+        "independent_set_counts": list(spec.independent_counts),
+        "automorphisms": automorphisms,
         "weightings": spec.total_weightings,
         "maximiser_counts": list(spec.maximiser_counts),
         "star_limit_constant": str(spec.star_limit_constant()),

@@ -1,22 +1,23 @@
-"""Small labelled undirected graphs: parsing, invariants, enumeration.
+"""Small labelled undirected graphs: parsing, connectivity, automorphisms,
+canonical forms and enumeration up to isomorphism.
 
 Vertices are stored 0-indexed internally; the text formats (edge lists,
 reports) use 1-indexed labels.  Adjacency is kept as one Python-int bitmask
-per vertex, which makes subset scans and neighbourhood intersections cheap
-for the small patterns this library analyses and still scales to host
-graphs with a couple of thousand vertices.
+per vertex, which makes neighbourhood intersections cheap for the small
+patterns this library analyses and still scales to host graphs with a
+couple of thousand vertices.  Independence facts (alpha, the counts i_k,
+the number A of maximum independent sets) are read from the weighting
+census in ``copymax.weightings``, not computed here.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-MAX_SUBSET_SCAN = 16      # 2^v subset scans stay <= 65536
 MAX_AUT_SCAN = 10         # factorial permutation scan is fine up to here
 MAX_CANONICAL = 8         # full-permutation canonical forms
 MAX_ENUMERATION = 7       # graph classes on <= 7 vertices
@@ -93,10 +94,6 @@ class Graph:
     def has_isolated_vertices(self):
         return any(a == 0 for a in self._adj)
 
-    def relabel(self, perm):
-        """Graph with vertex u renamed to perm[u]."""
-        return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
-
     def edge_list_text(self):
         """1-indexed edge dump in the parse_edge_list format."""
         body = ",".join(f"{u + 1}-{v + 1}" for u, v in self.edges)
@@ -110,23 +107,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={list(self.edges)})"
-
-
-@dataclass(frozen=True)
-class IndependenceCensus:
-    """Counts of independent sets by size, from an exhaustive subset scan."""
-
-    counts: tuple          # i_0 .. i_n
-    alpha: int             # largest size with a nonzero count
-    max_sets: int          # number of independent sets of size alpha
-
-
-@dataclass(frozen=True)
-class GraphInvariants:
-    alpha: int
-    max_independent_set_count: int
-    independent_counts: tuple
-    automorphism_count: int
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +274,7 @@ def builtin_graph(name: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# invariants
+# connectivity and automorphisms
 
 def is_connected(g: Graph) -> bool:
     if g.n == 1:
@@ -311,30 +291,6 @@ def is_connected(g: Graph) -> bool:
         frontier = grow & ~seen
         seen |= frontier
     return seen == (1 << g.n) - 1
-
-
-def independent_set_census(g: Graph) -> IndependenceCensus:
-    """Exact i_0..i_n by scanning all 2^n vertex subsets."""
-    n = g.n
-    if n > MAX_SUBSET_SCAN:
-        raise ValueError(f"subset scan limited to {MAX_SUBSET_SCAN} vertices")
-    adj = g.adj
-    ind = bytearray(1 << n)
-    ind[0] = 1
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        rest = mask ^ low
-        if ind[rest] and not (adj[low.bit_length() - 1] & rest):
-            ind[mask] = 1
-            counts[mask.bit_count()] += 1
-    alpha = max(k for k in range(n + 1) if counts[k])
-    return IndependenceCensus(tuple(counts), alpha, counts[alpha])
-
-
-def independence_number(g: Graph) -> int:
-    return independent_set_census(g).alpha
 
 
 def automorphism_count(g: Graph) -> int:
@@ -360,16 +316,6 @@ def automorphism_count(g: Graph) -> int:
         if all(adj[perm[u]] >> perm[v] & 1 for u, v in edges):
             count += 1
     return count
-
-
-def graph_invariants(g: Graph) -> GraphInvariants:
-    census = independent_set_census(g)
-    return GraphInvariants(
-        alpha=census.alpha,
-        max_independent_set_count=census.max_sets,
-        independent_counts=census.counts,
-        automorphism_count=automorphism_count(g),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ weights are stored as integers counted in halves.
 The census of weightings by their (zero, half, one) vertex counts (the
 "spectrum") is the sufficient statistic for every asymptotic density
 formula downstream.  It is counted once, by a memoised walk that never
-builds the weightings themselves, and alpha, alpha*, the maximiser counts
-and a maximal weighting are all read from that one count.
+builds the weightings themselves, and alpha, the independent-set counts
+i_k, alpha*, the maximiser counts and a maximal weighting are all read
+from that one count.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,13 +47,17 @@ class WeightingSpectrum:
         return sum(m for _, m in self.entries)
 
     @property
+    def independent_counts(self):
+        """i_0 .. i_v: the 0/1 weightings with b ones are exactly the
+        independent sets of size b."""
+        counts = [0] * (self.v + 1)
+        for (_, _, b), mult in self.y_zero_slice().items():
+            counts[b] = mult
+        return tuple(counts)
+
+    @property
     def max_independent_sets(self):
-        # 0/1 weightings with b = alpha are exactly the maximum independent sets
-        target = (self.v - self.alpha, 0, self.alpha)
-        for sig, mult in self.entries:
-            if sig == target:
-                return mult
-        return 0
+        return self.independent_counts[self.alpha]
 
     def y_zero_slice(self):
         return {sig: m for sig, m in self.entries if sig[1] == 0}
@@ -83,11 +87,6 @@ class WeightingSpectrum:
                 for (r, y, b), m in self.entries
             ],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
-
-
 
 
 def _moves(later, half, zero):

@@ -34,7 +34,6 @@ from copymax.graphs import (
     cycle_graph,
     enumerate_connected_graphs,
     graph_from_edge_mask,
-    independent_set_census,
     parse_graph6,
     path_graph,
     star_graph,
@@ -64,8 +63,8 @@ def _report(num, ok, detail):
 
 
 def test_criterion_01_g6_invariants(g6, g6_spec):
-    alpha = independent_set_census(g6).alpha
-    a = independent_set_census(g6).max_sets
+    alpha = g6_spec.alpha
+    a = g6_spec.max_independent_sets
     aut = automorphism_count(g6)
     ok = (alpha == 3 and g6_spec.alpha_star == Fraction(7, 2) and a == 3 and aut == 4)
     _report(1, ok, f"alpha={alpha} alpha*={g6_spec.alpha_star} A={a} |Aut|={aut}")
@@ -276,8 +275,8 @@ def test_criterion_13_property_suite(g6):
     # maximum-independent-set bound at alpha = v/2 on the small census
     cr_ok = True
     for g in enumerate_connected_graphs(5):
-        census = independent_set_census(g)
-        if 2 * census.alpha == g.n and census.max_sets > 2 ** (g.n // 2):
+        sp = spectrum(g)
+        if 2 * sp.alpha == g.n and sp.max_independent_sets > 2 ** (g.n // 2):
             cr_ok = False
 
     ok = fractions_ok and roundtrip_ok and divisible_ok and cr_ok

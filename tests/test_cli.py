@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args, expect=0):
@@ -20,6 +23,12 @@ def test_analyze_g6(tmp_path):
     assert data["automorphisms"] == 4
     assert data["weightings"] == 145
     assert data["spectrum"]["alpha_star"] == "7/2"
+
+
+def test_analyze_g6_matches_reference():
+    # the analyze output contract: byte for byte what the benchmark checks
+    ref = (ROOT / "bench" / "references" / "analyze-builtin-G6.out").read_text()
+    assert run_cli("analyze", "--builtin", "G6").stdout == ref
 
 
 def test_analyze_accepts_edge_list_and_graph6():
@@ -95,6 +104,15 @@ def test_ex_command():
     cp = run_cli("ex", "--builtin", "K3", "--n", "5", "--e", "6")
     data = json.loads(cp.stdout)
     assert data["maximum"] == 4
+
+
+def test_ex_refuses_eight_vertices():
+    # refused up front: enumerating the 8-vertex classes would not finish
+    cp = subprocess.run([sys.executable, "-m", "copymax.cli", "ex", "--builtin", "P2",
+                         "--n", "8", "--e", "3"],
+                        capture_output=True, text=True, timeout=30)
+    assert cp.returncode == 2
+    assert "limited to 7 vertices" in cp.stderr
 
 
 def test_oracle_command():

@@ -20,9 +20,6 @@ from copymax.graphs import (
     empty_graph,
     enumerate_connected_graphs,
     graph_from_edge_mask,
-    graph_invariants,
-    independence_number,
-    independent_set_census,
     is_connected,
     parse_edge_list,
     parse_graph6,
@@ -30,6 +27,7 @@ from copymax.graphs import (
     star_graph,
     write_graph6,
 )
+from copymax.weightings import spectrum
 from oracles import ref_automorphism_count, ref_independent_counts
 
 
@@ -123,48 +121,76 @@ def test_graph6_roundtrip_random(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# independence
+# independence (read from the weighting census)
 
 def test_independence_numbers(g6):
-    assert independence_number(g6) == 3
-    assert independence_number(complete_graph(5)) == 1
-    assert independence_number(path_graph(4)) == 3
+    assert spectrum(g6).alpha == 3
+    assert spectrum(complete_graph(5)).alpha == 1
+    assert spectrum(path_graph(4)).alpha == 3
 
 
 def test_census_g6(g6):
-    census = independent_set_census(g6)
-    assert census.counts == (1, 6, 9, 3, 0, 0, 0)
-    assert census.alpha == 3 and census.max_sets == 3
+    sp = spectrum(g6)
+    assert sp.independent_counts == (1, 6, 9, 3, 0, 0, 0)
+    assert sp.alpha == 3 and sp.max_independent_sets == 3
 
 
 def test_census_examples():
     two_edges = disjoint_union(complete_graph(2), complete_graph(2))
-    census = independent_set_census(two_edges)
-    assert census.alpha == 2 and census.max_sets == 4
-    census = independent_set_census(cycle_graph(5))
-    assert census.alpha == 2 and census.max_sets == 5
+    sp = spectrum(two_edges)
+    assert sp.alpha == 2 and sp.max_independent_sets == 4
+    sp = spectrum(cycle_graph(5))
+    assert sp.alpha == 2 and sp.max_independent_sets == 5
 
 
 def test_census_against_combinations_oracle():
     rng = random.Random(4119)
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(1, 8))
-        assert independent_set_census(g).counts == ref_independent_counts(g)
+    checked = 0
+    while checked < 25:
+        g = random_graph(rng, rng.randint(2, 8))
+        if g.has_isolated_vertices:
+            continue
+        checked += 1
+        assert spectrum(g).independent_counts == ref_independent_counts(g)
 
 
 def test_trivial_alpha_identities():
     for v in range(2, 7):
-        assert independence_number(empty_graph(v)) == v
-        assert independence_number(complete_graph(v)) == 1
+        assert spectrum(complete_graph(v)).alpha == 1
 
 
 def test_max_independent_sets_bound_at_half_alpha():
     # graphs whose independence number is exactly half the vertex count
     # cannot have more than 2^(v/2) maximum independent sets
     for g in enumerate_connected_graphs(5):
-        census = independent_set_census(g)
-        if 2 * census.alpha == g.n:
-            assert census.max_sets <= 2 ** (g.n // 2)
+        sp = spectrum(g)
+        if 2 * sp.alpha == g.n:
+            assert sp.max_independent_sets <= 2 ** (g.n // 2)
+
+
+@st.composite
+def graphs_without_isolated_vertices(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    covered = {u for e in edges for u in e}
+    # tie every isolated vertex to a drawn partner so spectrum accepts it
+    for u in range(n):
+        if u not in covered:
+            v = draw(st.integers(min_value=0, max_value=n - 2))
+            e = (u, v + (v >= u))
+            edges.append((min(e), max(e)))
+            covered.update(e)
+    return Graph(n, set(edges))
+
+
+@given(graphs_without_isolated_vertices())
+@settings(max_examples=150, deadline=None)
+def test_independent_counts_property(g):
+    sp = spectrum(g)
+    assert sp.independent_counts == ref_independent_counts(g)
+    assert sp.alpha == max(k for k, i_k in enumerate(sp.independent_counts) if i_k)
+    assert sp.max_independent_sets == sp.independent_counts[sp.alpha]
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +215,10 @@ def test_automorphism_divides_factorial():
 
 
 def test_graph_invariants_bundle(g6):
-    inv = graph_invariants(g6)
-    assert (inv.alpha, inv.max_independent_set_count, inv.automorphism_count) == (3, 3, 4)
-    assert inv.independent_counts[0] == 1
-    assert inv.independent_counts[1] == g6.n
+    sp = spectrum(g6)
+    assert (sp.alpha, sp.max_independent_sets, automorphism_count(g6)) == (3, 3, 4)
+    assert sp.independent_counts[0] == 1
+    assert sp.independent_counts[1] == g6.n
 
 
 # ---------------------------------------------------------------------------
