@@ -10,7 +10,6 @@ on explicit finite graphs.
 from .graphs import (
     Graph,
     are_isomorphic,
-    automorphism_count,
     builtin_graph,
     canonical_form,
     clique_with_pendant_star,
@@ -19,7 +18,6 @@ from .graphs import (
     disjoint_union,
     empty_graph,
     enumerate_connected_graphs,
-    enumerate_graph_classes,
     is_connected,
     parse_edge_list,
     parse_graph6,
@@ -68,6 +66,7 @@ from .hosts import (
     CountBudgetExceeded,
     CountReport,
     HostGraph,
+    automorphism_count,
     build_host,
     convergence_report,
     copies_count,

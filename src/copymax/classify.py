@@ -65,7 +65,7 @@ class TypeClassification:
 class QStarCurve:
     samples: tuple             # (beta, q_star, tie)
     non_decreasing: bool
-    violations: tuple          # (beta_i, beta_i+1) pairs where q_star dropped
+    violations: tuple          # (beta, next untied beta) where q_star dropped
 
 
 @dataclass(frozen=True)
@@ -160,10 +160,12 @@ def q_star_curve(g: Graph, betas=None, q_grid: int = 128) -> QStarCurve:
     for beta in betas:
         prof = best_t_density(spec, beta, q_grid=q_grid)
         samples.append((beta, prof.q_star, prof.tie))
+    # a tied sample (every q optimal, as at beta = 1) has no argmax to
+    # compare, so each untied q_star is checked against the previous untied one
+    untied = [(beta, q) for beta, q, tie in samples if not tie]
     violations = tuple(
-        (samples[i][0], samples[i + 1][0])
-        for i in range(len(samples) - 1)
-        if samples[i + 1][1] < samples[i][1] - 1e-8
+        (b0, b1) for (b0, q0), (b1, q1) in zip(untied, untied[1:])
+        if q1 < q0 - 1e-8
     )
     return QStarCurve(samples=tuple(samples),
                       non_decreasing=not violations,

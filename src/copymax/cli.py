@@ -18,7 +18,6 @@ import numpy as np
 from . import classify as cls
 from . import density, hosts, lp, weightings
 from .graphs import (
-    automorphism_count,
     builtin_graph,
     clique_with_pendant_star,
     parse_edge_list,
@@ -91,7 +90,7 @@ def cmd_analyze(args):
     g = _load_graph(args)
     # before the census, so a graph over both size limits reports the
     # automorphism limit
-    automorphisms = automorphism_count(g)
+    automorphisms = hosts.automorphism_count(g)
     spec = weightings.spectrum(g)
     q = _parse_q(args.q) if args.q is not None else 1.0 / math.sqrt(2.0)
     out = {

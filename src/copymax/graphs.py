@@ -1,5 +1,5 @@
-"""Small labelled undirected graphs: parsing, connectivity, automorphisms,
-canonical forms and enumeration up to isomorphism.
+"""Small labelled undirected graphs: parsing, connectivity, canonical forms
+and enumeration up to isomorphism.
 
 Vertices are stored 0-indexed internally; the text formats (edge lists,
 reports) use 1-indexed labels.  Adjacency is kept as one Python-int bitmask
@@ -7,7 +7,8 @@ per vertex, which makes neighbourhood intersections cheap for the small
 patterns this library analyses and still scales to host graphs with a
 couple of thousand vertices.  Independence facts (alpha, the counts i_k,
 the number A of maximum independent sets) are read from the weighting
-census in ``copymax.weightings``, not computed here.
+census in ``copymax.weightings``, and automorphism counts from the map
+search in ``copymax.hosts`` (as self-embeddings), not computed here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-MAX_AUT_SCAN = 10         # factorial permutation scan is fine up to here
 MAX_CANONICAL = 8         # full-permutation canonical forms
 MAX_ENUMERATION = 7       # graph classes on <= 7 vertices
 
@@ -274,7 +274,7 @@ def builtin_graph(name: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# connectivity and automorphisms
+# connectivity
 
 def is_connected(g: Graph) -> bool:
     if g.n == 1:
@@ -291,31 +291,6 @@ def is_connected(g: Graph) -> bool:
         frontier = grow & ~seen
         seen |= frontier
     return seen == (1 << g.n) - 1
-
-
-def automorphism_count(g: Graph) -> int:
-    """Number of adjacency-preserving permutations, by direct scan.
-
-    Only permutations respecting the degree partition are tried; within a
-    degree class the scan is exhaustive.
-    """
-    if g.n > MAX_AUT_SCAN:
-        raise ValueError(f"automorphism scan limited to {MAX_AUT_SCAN} vertices")
-    by_deg = {}
-    for u in range(g.n):
-        by_deg.setdefault(g.degree(u), []).append(u)
-    classes = list(by_deg.values())
-    edges = g.edges
-    adj = g.adj
-    count = 0
-    perm = [0] * g.n
-    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
-        for cls, img in zip(classes, images):
-            for u, pu in zip(cls, img):
-                perm[u] = pu
-        if all(adj[perm[u]] >> perm[v] & 1 for u, v in edges):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -397,25 +372,14 @@ def _graph_classes(n):
     return levels
 
 
-def enumerate_graph_classes(n: int, max_edges=None):
-    """All isomorphism classes on exactly n labelled vertices (includes
-    graphs with isolated vertices), ordered by edge count then mask."""
-    if n > MAX_ENUMERATION:
-        raise ValueError(f"enumeration limited to {MAX_ENUMERATION} vertices")
-    levels = _graph_classes(n)
-    if max_edges is not None:
-        levels = levels[: max_edges + 1]
-    for level in levels:
-        for mask in level:
-            yield graph_from_edge_mask(n, mask)
-
-
 def enumerate_connected_graphs(max_v: int):
     """One representative per connected isomorphism class on 2..max_v
     vertices, in deterministic (n, edge count, mask) order."""
     if max_v > MAX_ENUMERATION:
         raise ValueError(f"enumeration limited to {MAX_ENUMERATION} vertices")
     for n in range(2, max_v + 1):
-        for g in enumerate_graph_classes(n):
-            if is_connected(g):
-                yield g
+        for level in _graph_classes(n):
+            for mask in level:
+                g = graph_from_edge_mask(n, mask)
+                if is_connected(g):
+                    yield g

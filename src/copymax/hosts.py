@@ -7,7 +7,8 @@ to everything else, and a blue independent set, with |Y| ~ y(q) n,
 adjacency bitsets provides ground-truth homomorphism and embedding counts;
 the census route (falling factorials against the class sizes) must agree
 with the search to the exact integer, which is the central oracle identity
-of the test suite.
+of the test suite.  The same search counts automorphisms, as the
+self-embeddings of a graph.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import class_fractions, t_density
-from .graphs import Graph, automorphism_count
+from .graphs import Graph
 from .weightings import spectrum
 
 MAX_PATTERN_VERTICES = 8
@@ -150,8 +151,6 @@ def _search_order(pattern: Graph):
 
 def _count_maps(pattern: Graph, host, injective: bool, budget: int) -> int:
     k = pattern.n
-    if k > MAX_PATTERN_VERTICES:
-        raise ValueError(f"pattern limited to {MAX_PATTERN_VERTICES} vertices")
     hg = _host_graph(host)
     hadj = hg.adj
     full = (1 << hg.n) - 1
@@ -221,12 +220,23 @@ def _count_maps(pattern: Graph, host, injective: bool, budget: int) -> int:
 
 def hom_count(pattern: Graph, host, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of edge-preserving maps from the pattern to the host."""
+    if pattern.n > MAX_PATTERN_VERTICES:
+        raise ValueError(f"pattern limited to {MAX_PATTERN_VERTICES} vertices")
     return _count_maps(pattern, host, injective=False, budget=budget)
 
 
 def injective_count(pattern: Graph, host, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of labelled embeddings (injective homomorphisms)."""
+    if pattern.n > MAX_PATTERN_VERTICES:
+        raise ValueError(f"pattern limited to {MAX_PATTERN_VERTICES} vertices")
     return _count_maps(pattern, host, injective=True, budget=budget)
+
+
+def automorphism_count(g: Graph) -> int:
+    """Number of automorphisms: the embeddings of the graph into itself."""
+    if g.n > 10:      # the search walks the automorphisms: K10 takes 10!/2 nodes
+        raise ValueError("automorphism scan limited to 10 vertices")
+    return _count_maps(g, g, injective=True, budget=DEFAULT_BUDGET)
 
 
 def copies_count(pattern: Graph, host, budget: int = DEFAULT_BUDGET) -> int:

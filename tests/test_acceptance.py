@@ -29,7 +29,6 @@ from copymax.density import (
 from copymax.graphs import (
     Graph,
     are_isomorphic,
-    automorphism_count,
     complete_graph,
     cycle_graph,
     enumerate_connected_graphs,
@@ -40,6 +39,7 @@ from copymax.graphs import (
     write_graph6,
 )
 from copymax.hosts import (
+    automorphism_count,
     build_host,
     convergence_report,
     copies_count,

@@ -16,9 +16,11 @@ from copymax.classify import (
 from copymax.graphs import (
     are_isomorphic,
     complete_graph,
+    enumerate_connected_graphs,
     parse_edge_list,
     path_graph,
     star_graph,
+    write_graph6,
 )
 from oracles import ref_independent_counts
 
@@ -101,6 +103,17 @@ def test_q_star_tie_at_beta_one(g6):
     curve = q_star_curve(g6, betas=[0.5, 1.0])
     beta, q, tie = curve.samples[-1]
     assert tie and q == 0.0
+
+
+def test_q_star_tie_is_not_a_violation(g6):
+    # at beta = 1 every q is optimal (q* = 0, tie): no drop into it
+    curve = q_star_curve(g6, betas=[0.001, 0.005, 0.01, 0.02, 0.05, 0.2, 0.6, 1.0])
+    assert curve.non_decreasing and curve.violations == ()
+    betas = default_beta_grid()[-4:]
+    assert betas[-1] == 1.0
+    for g in enumerate_connected_graphs(5):
+        curve = q_star_curve(g, betas=betas)
+        assert curve.non_decreasing and curve.violations == (), write_graph6(g)
 
 
 # ---------------------------------------------------------------------------

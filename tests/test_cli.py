@@ -31,6 +31,19 @@ def test_analyze_g6_matches_reference():
     assert run_cli("analyze", "--builtin", "G6").stdout == ref
 
 
+def test_analyze_ten_vertices_automorphisms():
+    # the self-embedding search counts |Aut C10| well inside the timeout
+    cp = subprocess.run([sys.executable, "-m", "copymax.cli", "analyze", "--builtin", "C10"],
+                        capture_output=True, text=True, timeout=5)
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["automorphisms"] == 20
+
+
+def test_analyze_refuses_eleven_vertices():
+    cp = run_cli("analyze", "--builtin", "K12", expect=2)
+    assert "automorphism scan limited to 10 vertices" in cp.stderr
+
+
 def test_analyze_accepts_edge_list_and_graph6():
     a = run_cli("analyze", "--graph", "1-2,1-3,2-3,3-4,4-5,4-6").stdout
     b = run_cli("analyze", "--graph", "g6:ExCO").stdout

@@ -1,6 +1,6 @@
 """Smoke tests: the quicker demos run to completion against the public API.
 
-Demos 02 and 03 (about 8 and 22 s) are left out to keep the suite quick."""
+Demo 03 (about 22 s) is left out to keep the suite quick."""
 
 import os
 import subprocess
@@ -12,7 +12,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("name", ["01_six_vertex_counterexample.py", "04_lp_duality.py",
+@pytest.mark.parametrize("name", ["01_six_vertex_counterexample.py",
+                                  "02_type_classification.py", "04_lp_duality.py",
                                   "05_extremal_search.py"])
 def test_demo_runs(name):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)

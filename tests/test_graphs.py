@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from copymax.graphs import (
     Graph,
     are_isomorphic,
-    automorphism_count,
     builtin_graph,
     canonical_form,
     clique_with_pendant_star,
@@ -27,6 +26,7 @@ from copymax.graphs import (
     star_graph,
     write_graph6,
 )
+from copymax.hosts import automorphism_count
 from copymax.weightings import spectrum
 from oracles import ref_automorphism_count, ref_independent_counts
 
@@ -200,13 +200,25 @@ def test_automorphism_counts(g6):
     assert automorphism_count(complete_graph(3)) == 6
     assert automorphism_count(g6) == 4
     assert automorphism_count(path_graph(2)) == 2
+    # 9 and 10 vertices: beyond the 8-vertex pattern limit of the host counts
+    assert automorphism_count(cycle_graph(9)) == 18
+    assert automorphism_count(star_graph(8)) == math.factorial(8)
+    assert automorphism_count(cycle_graph(10)) == 20
+    with pytest.raises(ValueError, match="automorphism scan limited to 10 vertices"):
+        automorphism_count(empty_graph(11))
 
 
-def test_automorphism_against_oracle():
-    rng = random.Random(99)
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(2, 6))
-        assert automorphism_count(g) == ref_automorphism_count(g)
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    return graph_from_edge_mask(n, draw(st.integers(0, 2 ** (n * (n - 1) // 2) - 1)))
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_automorphism_against_oracle(g):
+    # isolated vertices and edgeless graphs included
+    assert automorphism_count(g) == ref_automorphism_count(g)
 
 
 def test_automorphism_divides_factorial():

@@ -7,7 +7,6 @@ import pytest
 from copymax.density import t_density
 from copymax.graphs import (
     Graph,
-    automorphism_count,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -16,6 +15,7 @@ from copymax.graphs import (
 )
 from copymax.hosts import (
     CountBudgetExceeded,
+    automorphism_count,
     build_host,
     convergence_report,
     copies_count,
@@ -179,8 +179,9 @@ def test_budget_abort(g6):
 
 
 def test_pattern_size_cap():
-    with pytest.raises(ValueError):
-        hom_count(empty_graph(9), complete_graph(3))
+    for count in (hom_count, injective_count):
+        with pytest.raises(ValueError, match="pattern limited to 8 vertices"):
+            count(empty_graph(9), complete_graph(3))
 
 
 # ---------------------------------------------------------------------------
