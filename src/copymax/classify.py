@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .density import best_t_density, curve_sample
+from .density import curve_sample, density_curve
 from .graphs import (
     MAX_ENUMERATION,
     Graph,
@@ -44,8 +44,6 @@ class TypeClassification:
     gamma_bracket: tuple | None
     delta_bracket: tuple | None
     samples: tuple             # (beta, winner, q_star) per grid point
-    q_grid: int
-    tol: float
 
     def to_json_dict(self):
         return {
@@ -96,28 +94,23 @@ def default_beta_grid():
     return [float(b) for b in np.unique(grid)]
 
 
-def _refine_boundary(spec, lo, hi, left_winner, q_grid, tol):
+def _refine_boundary(spec, lo, hi, left_winner, tol):
     """Bisect the winner change inside (lo, hi) to absolute tolerance tol."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if curve_sample(spec, mid, q_grid).winner == left_winner:
+        if curve_sample(spec, mid).winner == left_winner:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi), (lo, hi)
 
 
-def classify_type(g: Graph, betas=None, q_grid: int = 128,
-                  tol: float = 1e-6) -> TypeClassification:
+def classify_type(g: Graph, tol: float = 1e-6) -> TypeClassification:
     if not is_connected(g):
         raise ValueError("classification requires a connected graph")
     spec = spectrum(g)
-    if betas is None:
-        betas = default_beta_grid()
-    samples = []
-    for beta in betas:
-        s = curve_sample(spec, beta, q_grid)
-        samples.append((beta, s.winner, s.q_star))
+    samples = [(s.beta, s.winner, s.q_star)
+               for s in density_curve(spec, default_beta_grid()).samples]
     runs = [samples[0][1]]
     changes = []                     # (index before change)
     for i in range(1, len(samples)):
@@ -131,21 +124,21 @@ def classify_type(g: Graph, betas=None, q_grid: int = 128,
     if seq in ("SK", "TK", "STK"):
         gamma, gamma_bracket = _refine_boundary(
             spec, samples[changes[0]][0], samples[changes[0] + 1][0],
-            runs[0], q_grid, tol)
+            runs[0], tol)
         if seq == "STK":
             delta, delta_bracket = _refine_boundary(
                 spec, samples[changes[1]][0], samples[changes[1] + 1][0],
-                runs[1], q_grid, tol)
+                runs[1], tol)
     pattern = seq if seq in ("K", "SK", "TK", "STK") else "OTHER"
     return TypeClassification(
         graph_id=graph_id, pattern=pattern,
         gamma=gamma, delta=delta,
         gamma_bracket=gamma_bracket, delta_bracket=delta_bracket,
-        samples=tuple(samples), q_grid=q_grid, tol=tol,
+        samples=tuple(samples),
     )
 
 
-def q_star_curve(g: Graph, betas=None, q_grid: int = 128) -> QStarCurve:
+def q_star_curve(g: Graph, betas=None) -> QStarCurve:
     """Sampled argmax curve with a monotonicity report.
 
     Whether q_star increases with beta is an open conjecture: violations
@@ -156,10 +149,7 @@ def q_star_curve(g: Graph, betas=None, q_grid: int = 128) -> QStarCurve:
     spec = spectrum(g)
     if betas is None:
         betas = default_beta_grid()
-    samples = []
-    for beta in betas:
-        prof = best_t_density(spec, beta, q_grid=q_grid)
-        samples.append((beta, prof.q_star, prof.tie))
+    samples = [(s.beta, s.q_star, s.tie) for s in density_curve(spec, betas).samples]
     # a tied sample (every q optimal, as at beta = 1) has no argmax to
     # compare, so each untied q_star is checked against the previous untied one
     untied = [(beta, q) for beta, q, tie in samples if not tie]
@@ -177,45 +167,38 @@ def search_counterexamples(max_v: int):
     fractional independence number exceeds both the independence number and
     half the vertex count: exactly the graphs whose type cannot start with
     S or K."""
-    out = []
-    for g in enumerate_connected_graphs(max_v):
-        spec = spectrum(g)
-        if spec.alpha_star > max(spec.alpha, Fraction(g.n, 2)):
-            out.append(g)
-    return out
+    return [g for g in enumerate_connected_graphs(max_v)
+            if _predicted_start(spectrum(g)) == "T"]
 
 
-def _predicted_start(alpha, alpha_star, v):
-    # smallest vanishing-density exponent among v/2 (K), v - alpha (S),
-    # v - alpha_star (interior)
-    if alpha_star == Fraction(v, 2):
+def _predicted_start(spec):
+    """The host that wins at vanishing density: the one with the smallest
+    exponent among v/2 (K), v - alpha (S) and v - alpha_star (T).  For a
+    connected graph alpha_star >= max(alpha, v/2), so alpha_star = v/2
+    means K, alpha_star > alpha means T, and otherwise S."""
+    if spec.alpha_star == Fraction(spec.v, 2):
         return "K"
-    if alpha_star > alpha:           # alpha_star > max(alpha, v/2)
+    if spec.alpha_star > spec.alpha:
         return "T"
     return "S"
 
 
-def sweep_connected_graphs(max_v: int, q_grid: int = 128, tol: float = 1e-6):
-    """Classify every connected graph on 2..max_v vertices, with invariant
-    cross-checks tying the numeric pattern to the exponent predictions."""
+def sweep_connected_graphs(max_v: int, tol: float = 1e-6):
+    """Classify every connected graph on 2..max_v vertices, checking that
+    each numeric pattern starts with the exponent prediction."""
     if max_v > 5:
         raise ValueError("the full numeric sweep is limited to 5 vertices")
     rows = []
     for g in enumerate_connected_graphs(max_v):
         spec = spectrum(g)
-        alpha, alpha_star = spec.alpha, spec.alpha_star
-        cls = classify_type(g, q_grid=q_grid, tol=tol)
-        predicted = _predicted_start(alpha, alpha_star, g.n)
-        if alpha_star == Fraction(g.n, 2) and cls.pattern != "K":
-            raise RuntimeError(f"{cls.graph_id}: expected pure K pattern, got {cls.pattern}")
-        if alpha > Fraction(g.n, 2) and not cls.pattern.startswith("S"):
-            raise RuntimeError(f"{cls.graph_id}: expected S start, got {cls.pattern}")
-        if alpha_star > max(Fraction(alpha), Fraction(g.n, 2)) and \
-                not cls.pattern.startswith("T"):
-            raise RuntimeError(f"{cls.graph_id}: expected T start, got {cls.pattern}")
+        cls = classify_type(g, tol=tol)
+        predicted = _predicted_start(spec)
+        # the only pattern that starts with K is K itself
+        if not cls.pattern.startswith(predicted):
+            raise RuntimeError(f"{cls.graph_id}: expected {predicted} start, got {cls.pattern}")
         rows.append(SweepRow(
             graph6=cls.graph_id, v=g.n, e=g.edge_count,
-            alpha=alpha, alpha_star=alpha_star,
+            alpha=spec.alpha, alpha_star=spec.alpha_star,
             max_independent_sets=spec.max_independent_sets,
             predicted_start=predicted, pattern=cls.pattern,
             gamma=cls.gamma, delta=cls.delta,

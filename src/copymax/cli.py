@@ -120,9 +120,7 @@ def cmd_profile(args):
     g = _load_graph(args)
     spec = weightings.spectrum(g)
     betas = _parse_beta_range(args.beta) if args.beta else cls.default_beta_grid()
-    curve = density.density_curve(spec, betas, q_grid=args.grid,
-                                  graph_id=write_graph6(g))
-    _emit(curve.to_csv(), args.out)
+    _emit(density.density_curve(spec, betas).to_csv(), args.out)
     return 0
 
 
@@ -150,13 +148,13 @@ def cmd_crossover(args):
 
 def cmd_classify(args):
     g = _load_graph(args)
-    res = cls.classify_type(g, q_grid=args.grid, tol=args.tol)
+    res = cls.classify_type(g, tol=args.tol)
     _emit(_json_text(res.to_json_dict()), args.out)
     return 0
 
 
 def cmd_classify_all(args):
-    rows = cls.sweep_connected_graphs(args.max_v, q_grid=args.grid, tol=args.tol)
+    rows = cls.sweep_connected_graphs(args.max_v, tol=args.tol)
     _emit(cls.sweep_to_csv(rows), args.out)
     return 0
 
@@ -236,7 +234,6 @@ def build_parser():
     p = sub.add_parser("profile", help="density curve CSV over a beta grid")
     _add_graph_source(p)
     p.add_argument("--beta", metavar="lo:hi:steps", help="linear beta grid")
-    p.add_argument("--grid", type=int, default=128, help="q grid size")
     p.add_argument("--out")
 
     p = sub.add_parser("crossover", help="bisect the density crossover of two q values")
@@ -249,13 +246,11 @@ def build_parser():
 
     p = sub.add_parser("classify", help="S/T/K type pattern of one graph")
     _add_graph_source(p)
-    p.add_argument("--grid", type=int, default=128)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out")
 
     p = sub.add_parser("classify-all", help="sweep all connected graphs up to max-v")
     p.add_argument("--max-v", type=int, default=5, dest="max_v")
-    p.add_argument("--grid", type=int, default=128)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out")
 

@@ -27,6 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 REL_TOL = 1e-12        # relative tolerance for "attains the supremum"
+Q_GRID = 128           # q grid intervals scanned before refinement
+REFINE_TOL = 1e-10     # golden-section bracket width on q
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -53,13 +55,12 @@ class CurveSample:
     t_star: float      # quasi-star density, q = 0
     t_clique: float    # quasi-clique density, q = 1
     winner: str        # "S", "T" or "K"
+    tie: bool          # another q far from q_star also attains f_T
 
 
 @dataclass(frozen=True)
 class DensityCurve:
-    graph_id: str
     samples: tuple
-    grid: dict
 
     def to_csv(self) -> str:
         lines = ["beta,f_T,q_star,t_S,t_K,winner"]
@@ -169,8 +170,7 @@ def _golden_max(f, lo, hi, tol):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def best_t_density(spec, beta: float, q_grid: int = 128,
-                   refine_tol: float = 1e-10) -> ProfilePoint:
+def best_t_density(spec, beta: float) -> ProfilePoint:
     """Supremum of t(beta, q) over q in [0, 1].
 
     Grid scan followed by golden-section refinement around every local
@@ -178,22 +178,17 @@ def best_t_density(spec, beta: float, q_grid: int = 128,
     smallest q whose value is within REL_TOL (relative) of the best; a tie
     is flagged when a well-separated q attains the same value.
     """
-    if q_grid < 64:
-        raise ValueError("q_grid must be at least 64")
-    if refine_tol <= 0.0:
-        raise ValueError("refine_tol must be positive")
-    qs = np.linspace(0.0, 1.0, q_grid + 1)
+    qs = np.linspace(0.0, 1.0, Q_GRID + 1)
     ts = t_density_grid(spec, beta, qs)
     f = lambda q: t_density(spec, beta, q)
     candidates = [(0.0, float(ts[0])), (1.0, float(ts[-1]))]
-    m = q_grid
-    for i in range(m + 1):
+    for i in range(Q_GRID + 1):
         left = ts[i - 1] if i > 0 else -math.inf
-        right = ts[i + 1] if i < m else -math.inf
+        right = ts[i + 1] if i < Q_GRID else -math.inf
         if ts[i] >= left and ts[i] >= right:
             candidates.append((float(qs[i]), float(ts[i])))
-            qq, tt = _golden_max(f, float(qs[max(i - 1, 0)]), float(qs[min(i + 1, m)]),
-                                 refine_tol)
+            qq, tt = _golden_max(f, float(qs[max(i - 1, 0)]), float(qs[min(i + 1, Q_GRID)]),
+                                 REFINE_TOL)
             candidates.append((float(qq), float(tt)))
     best = max(t for _, t in candidates)
     threshold = best * (1.0 - REL_TOL) if best > 0.0 else 0.0
@@ -203,35 +198,34 @@ def best_t_density(spec, beta: float, q_grid: int = 128,
     return ProfilePoint(best, q_star, tie)
 
 
-def attribute_winner(f_T: float, t_star: float, t_clique: float,
-                     rel_tol: float = REL_TOL) -> str:
+def attribute_winner(f_T: float, t_star: float, t_clique: float) -> str:
     """Which host attains the supremum: quasi-clique first (ties at beta = 1
     or for edge-count patterns go to K, matching the proven K tail), then
     quasi-star, else a strictly interior host."""
-    if t_clique >= f_T * (1.0 - rel_tol):
+    if t_clique >= f_T * (1.0 - REL_TOL):
         return "K"
-    if t_star >= f_T * (1.0 - rel_tol):
+    if t_star >= f_T * (1.0 - REL_TOL):
         return "S"
     return "T"
 
 
-def curve_sample(spec, beta: float, q_grid: int = 128) -> CurveSample:
+def curve_sample(spec, beta: float) -> CurveSample:
     """The optimised profile, both endpoint hosts and the winner at one beta."""
-    prof = best_t_density(spec, beta, q_grid=q_grid)
+    prof = best_t_density(spec, beta)
     t0 = star_density(spec, beta)
     t1 = clique_density(spec, beta)
     return CurveSample(beta=beta, f_T=prof.value, q_star=prof.q_star,
                        t_star=t0, t_clique=t1,
-                       winner=attribute_winner(prof.value, t0, t1))
+                       winner=attribute_winner(prof.value, t0, t1),
+                       tie=prof.tie)
 
 
-def density_curve(spec, betas, q_grid: int = 128, graph_id: str = "") -> DensityCurve:
+def density_curve(spec, betas) -> DensityCurve:
+    """One curve_sample per beta of a strictly increasing grid."""
     betas = list(betas)
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta grid must be strictly increasing")
-    samples = tuple(curve_sample(spec, beta, q_grid) for beta in betas)
-    return DensityCurve(graph_id=graph_id, samples=samples,
-                        grid={"q_grid": q_grid, "points": len(betas)})
+    return DensityCurve(samples=tuple(curve_sample(spec, beta) for beta in betas))
 
 
 def crossover_bracket(spec, q1: float, q2: float):

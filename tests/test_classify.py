@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from copymax.classify import (
+    _predicted_start,
     classify_type,
     default_beta_grid,
     exhaustive_ex,
@@ -15,13 +16,16 @@ from copymax.classify import (
 )
 from copymax.graphs import (
     are_isomorphic,
+    clique_with_pendant_star,
     complete_graph,
     enumerate_connected_graphs,
     parse_edge_list,
+    parse_graph6,
     path_graph,
     star_graph,
     write_graph6,
 )
+from copymax.weightings import spectrum
 from oracles import ref_independent_counts
 
 
@@ -116,6 +120,14 @@ def test_q_star_tie_is_not_a_violation(g6):
         assert curve.non_decreasing and curve.violations == (), write_graph6(g)
 
 
+def test_q_star_curve_requires_increasing(g6):
+    # argmaxes are compared in beta order, so the grid must be in that order
+    with pytest.raises(ValueError):
+        q_star_curve(g6, betas=[0.2, 0.1])
+    with pytest.raises(ValueError):
+        q_star_curve(g6, betas=[0.1, 0.1])
+
+
 # ---------------------------------------------------------------------------
 # counterexample search
 
@@ -156,6 +168,18 @@ def test_sweep_small():
     csv = sweep_to_csv(rows)
     assert csv.startswith("graph6,v,e,alpha,alpha_star,A,pattern,gamma,delta\n")
     assert len(csv.strip().split("\n")) == 10
+
+
+@pytest.mark.parametrize("g", [clique_with_pendant_star(3, 3),
+                               parse_graph6("FzaC?"), parse_graph6("F~aC?")],
+                         ids=["FjaC?", "FzaC?", "F~aC?"])
+def test_start_rule_when_alpha_and_alpha_star_exceed_half(g):
+    # alpha > v/2 but alpha_star > alpha: the exponent v - alpha_star (T)
+    # is below both v - alpha (S) and v/2 (K), so the type starts with T
+    spec = spectrum(g)
+    assert (g.n, spec.alpha, spec.alpha_star) == (7, 4, Fraction(9, 2))
+    assert _predicted_start(spec) == "T"
+    assert classify_type(g).pattern == "TK"
 
 
 def test_sweep_cap():

@@ -1,14 +1,22 @@
 import json
+import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+# the benchmark's reference check, read from bench/ without importing it
+compare = runpy.run_path(str(ROOT / "bench" / "check.py"))["compare"]
 
 
-def run_cli(*args, expect=0):
+def run_cli(*args, expect=0, timeout=None):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     cp = subprocess.run([sys.executable, "-m", "copymax.cli", *args],
-                        capture_output=True, text=True)
+                        capture_output=True, text=True, timeout=timeout,
+                        env={**os.environ, "PYTHONPATH": path})
     assert cp.returncode == expect, cp.stderr
     return cp
 
@@ -31,11 +39,16 @@ def test_analyze_g6_matches_reference():
     assert run_cli("analyze", "--builtin", "G6").stdout == ref
 
 
+@pytest.mark.parametrize("command", ["classify", "profile"])
+def test_sweep_g6_matches_reference(command):
+    # the S/T/K sweep outputs, held to the benchmark's reference check
+    ref = (ROOT / "bench" / "references" / f"{command}-builtin-G6.out").read_text()
+    assert compare(run_cli(command, "--builtin", "G6").stdout, ref) is None
+
+
 def test_analyze_ten_vertices_automorphisms():
     # the self-embedding search counts |Aut C10| well inside the timeout
-    cp = subprocess.run([sys.executable, "-m", "copymax.cli", "analyze", "--builtin", "C10"],
-                        capture_output=True, text=True, timeout=5)
-    assert cp.returncode == 0, cp.stderr
+    cp = run_cli("analyze", "--builtin", "C10", timeout=5)
     assert json.loads(cp.stdout)["automorphisms"] == 20
 
 
@@ -121,10 +134,7 @@ def test_ex_command():
 
 def test_ex_refuses_eight_vertices():
     # refused up front: enumerating the 8-vertex classes would not finish
-    cp = subprocess.run([sys.executable, "-m", "copymax.cli", "ex", "--builtin", "P2",
-                         "--n", "8", "--e", "3"],
-                        capture_output=True, text=True, timeout=30)
-    assert cp.returncode == 2
+    cp = run_cli("ex", "--builtin", "P2", "--n", "8", "--e", "3", expect=2, timeout=30)
     assert "limited to 7 vertices" in cp.stderr
 
 

@@ -192,13 +192,6 @@ def test_profile_dominates_endpoints(g6_spec):
         assert prof.value >= clique_density(g6_spec, float(beta)) * (1 - 1e-15)
 
 
-def test_profile_argument_checks(g6_spec):
-    with pytest.raises(ValueError):
-        best_t_density(g6_spec, 0.1, q_grid=32)
-    with pytest.raises(ValueError):
-        best_t_density(g6_spec, 0.1, refine_tol=0.0)
-
-
 # ---------------------------------------------------------------------------
 # crossovers and exponents
 
@@ -253,7 +246,7 @@ def test_exponent_argument_checks(g6_spec):
 # curves
 
 def test_density_curve_csv(g6_spec):
-    curve = density_curve(g6_spec, [0.005, 0.01, 0.5], graph_id="ExCO")
+    curve = density_curve(g6_spec, [0.005, 0.01, 0.5])
     text = curve.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "beta,f_T,q_star,t_S,t_K,winner"
@@ -266,7 +259,7 @@ def test_density_curve_csv(g6_spec):
 def test_curve_sample_matches_parts(g6_spec):
     s = curve_sample(g6_spec, 0.005)
     prof = best_t_density(g6_spec, 0.005)
-    assert (s.f_T, s.q_star) == (prof.value, prof.q_star)
+    assert (s.f_T, s.q_star, s.tie) == (prof.value, prof.q_star, prof.tie)
     assert s.t_star == star_density(g6_spec, 0.005)
     assert s.t_clique == clique_density(g6_spec, 0.005)
     assert s.winner == attribute_winner(s.f_T, s.t_star, s.t_clique) == "T"
