@@ -108,7 +108,10 @@ def _refine_boundary(spec, lo, hi, left_winner, tol):
 def classify_type(g: Graph, tol: float = 1e-6) -> TypeClassification:
     if not is_connected(g):
         raise ValueError("classification requires a connected graph")
-    spec = spectrum(g)
+    return _classify(g, spectrum(g), tol)
+
+
+def _classify(g, spec, tol):
     samples = [(s.beta, s.winner, s.q_star)
                for s in density_curve(spec, default_beta_grid()).samples]
     runs = [samples[0][1]]
@@ -183,7 +186,7 @@ def _predicted_start(spec):
     return "S"
 
 
-def sweep_connected_graphs(max_v: int, tol: float = 1e-6):
+def sweep_connected_graphs(max_v: int):
     """Classify every connected graph on 2..max_v vertices, checking that
     each numeric pattern starts with the exponent prediction."""
     if max_v > 5:
@@ -191,7 +194,7 @@ def sweep_connected_graphs(max_v: int, tol: float = 1e-6):
     rows = []
     for g in enumerate_connected_graphs(max_v):
         spec = spectrum(g)
-        cls = classify_type(g, tol=tol)
+        cls = _classify(g, spec, 1e-6)      # classify_type's default tol
         predicted = _predicted_start(spec)
         # the only pattern that starts with K is K itself
         if not cls.pattern.startswith(predicted):

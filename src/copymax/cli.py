@@ -71,20 +71,12 @@ def _load_graph(args):
     return clique_with_pendant_star(a, b)
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_text(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its output text
 
 def cmd_analyze(args):
     g = _load_graph(args)
@@ -92,7 +84,7 @@ def cmd_analyze(args):
     # automorphism limit
     automorphisms = hosts.automorphism_count(g)
     spec = weightings.spectrum(g)
-    q = _parse_q(args.q) if args.q is not None else 1.0 / math.sqrt(2.0)
+    q = _parse_q("1/sqrt2")     # the interior constant is reported at 1/sqrt2
     out = {
         "graph6": write_graph6(g),
         "vertices": g.n,
@@ -112,23 +104,22 @@ def cmd_analyze(args):
         },
         "spectrum": spec.to_json_dict(),
     }
-    _emit(_json_text(out), args.out)
-    return 0
+    return _json_text(out)
 
 
 def cmd_profile(args):
     g = _load_graph(args)
     spec = weightings.spectrum(g)
-    betas = _parse_beta_range(args.beta) if args.beta else cls.default_beta_grid()
-    _emit(density.density_curve(spec, betas).to_csv(), args.out)
-    return 0
+    betas = (_parse_beta_range(args.beta) if args.beta is not None
+             else cls.default_beta_grid())
+    return density.density_curve(spec, betas).to_csv()
 
 
 def cmd_crossover(args):
     g = _load_graph(args)
     spec = weightings.spectrum(g)
     q1, q2 = _parse_q(args.q1), _parse_q(args.q2)
-    if args.bracket:
+    if args.bracket is not None:
         lo, hi = (float(x) for x in args.bracket.split(":"))
         bracket = (lo, hi)
     else:
@@ -142,31 +133,23 @@ def cmd_crossover(args):
         "tol": args.tol,
         "beta": _fmt(root),
     }
-    _emit(_json_text(out), args.out)
-    return 0
+    return _json_text(out)
 
 
 def cmd_classify(args):
     g = _load_graph(args)
-    res = cls.classify_type(g, tol=args.tol)
-    _emit(_json_text(res.to_json_dict()), args.out)
-    return 0
+    return _json_text(cls.classify_type(g, tol=args.tol).to_json_dict())
 
 
 def cmd_classify_all(args):
-    rows = cls.sweep_connected_graphs(args.max_v, tol=args.tol)
-    _emit(cls.sweep_to_csv(rows), args.out)
-    return 0
+    return cls.sweep_to_csv(cls.sweep_connected_graphs(args.max_v))
 
 
 def cmd_oracle(args):
     g = _load_graph(args)
-    q = _parse_q(args.q) if args.q else 1.0 / math.sqrt(2.0)
-    beta = float(args.beta) if args.beta else 0.2
-    n_list = _parse_n_list(args.n_list) if args.n_list else [30, 60]
-    result = hosts.convergence_report(g, beta, q, n_list, budget=args.budget)
-    _emit(result.to_csv(), args.out)
-    return 0
+    q, n_list = _parse_q(args.q), _parse_n_list(args.n_list)
+    result = hosts.convergence_report(g, args.beta, q, n_list, budget=args.budget)
+    return result.to_csv()
 
 
 def cmd_search(args):
@@ -181,17 +164,13 @@ def cmd_search(args):
             "alpha": spec.alpha,
             "alpha_star": str(spec.alpha_star),
         })
-    out = {"max_v": args.max_v, "count": len(found), "graphs": graphs}
-    _emit(_json_text(out), args.out)
-    return 0
+    return _json_text({"max_v": args.max_v, "count": len(found), "graphs": graphs})
 
 
 def cmd_lp(args):
     g = _load_graph(args)
-    eps = Fraction(args.epsilon)
-    report = lp.duality_check(g, eps)
-    _emit(_json_text(report.to_json_dict()), args.out)
-    return 0
+    report = lp.duality_check(g, Fraction(args.epsilon))
+    return _json_text(report.to_json_dict())
 
 
 def cmd_ex(args):
@@ -204,18 +183,10 @@ def cmd_ex(args):
         "maximum": best,
         "maximiser_graph6": write_graph6(host),
     }
-    _emit(_json_text(out), args.out)
-    return 0
+    return _json_text(out)
 
 
 # ---------------------------------------------------------------------------
-
-def _add_graph_source(p):
-    p.add_argument("--graph", help="edge list '1-2,2-3,...' or 'g6:<graph6>'")
-    p.add_argument("--builtin", help="named graph: P2/P3/P4/G6/K<k>/C<k>/star<k>")
-    p.add_argument("--family", metavar="a,b",
-                   help="clique-with-pendant-star family parameters")
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -226,87 +197,71 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="invariants, weighting census and limit constants")
-    _add_graph_source(p)
-    p.add_argument("--q", help="q for the interior limit constant (default 1/sqrt2)")
-    p.add_argument("--out")
+    def command(name, handler, summary, graph=True):
+        p = sub.add_parser(name, help=summary)
+        if graph:
+            p.add_argument("--graph", help="edge list '1-2,2-3,...' or 'g6:<graph6>'")
+            p.add_argument("--builtin", help="named graph: P2/P3/P4/G6/K<k>/C<k>/star<k>")
+            p.add_argument("--family", metavar="a,b",
+                           help="clique-with-pendant-star family parameters")
+        p.add_argument("--out", metavar="FILE", help="write the output here, not to stdout")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("profile", help="density curve CSV over a beta grid")
-    _add_graph_source(p)
+    command("analyze", cmd_analyze, "invariants, weighting census and limit constants")
+
+    p = command("profile", cmd_profile, "density curve CSV over a beta grid")
     p.add_argument("--beta", metavar="lo:hi:steps", help="linear beta grid")
-    p.add_argument("--out")
 
-    p = sub.add_parser("crossover", help="bisect the density crossover of two q values")
-    _add_graph_source(p)
+    p = command("crossover", cmd_crossover, "bisect the density crossover of two q values")
     p.add_argument("--q1", required=True)
     p.add_argument("--q2", required=True)
     p.add_argument("--bracket", metavar="lo:hi")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--out")
 
-    p = sub.add_parser("classify", help="S/T/K type pattern of one graph")
-    _add_graph_source(p)
+    p = command("classify", cmd_classify, "S/T/K type pattern of one graph")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--out")
 
-    p = sub.add_parser("classify-all", help="sweep all connected graphs up to max-v")
+    p = command("classify-all", cmd_classify_all, "sweep all connected graphs up to max-v",
+                graph=False)
     p.add_argument("--max-v", type=int, default=5, dest="max_v")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--out")
 
-    p = sub.add_parser("oracle", help="exact counts vs the limit density")
-    _add_graph_source(p)
-    p.add_argument("--beta")
-    p.add_argument("--q")
-    p.add_argument("--n-list", dest="n_list", metavar="30,60,120")
+    p = command("oracle", cmd_oracle, "exact counts vs the limit density")
+    p.add_argument("--beta", type=float, default=0.2)
+    p.add_argument("--q", default="1/sqrt2")
+    p.add_argument("--n-list", dest="n_list", metavar="30,60,120", default="30,60")
     p.add_argument("--budget", type=int, default=hosts.DEFAULT_BUDGET)
-    p.add_argument("--out")
 
-    p = sub.add_parser("search", help="graphs where an interior host must win at small beta")
+    p = command("search", cmd_search, "graphs where an interior host must win at small beta",
+                graph=False)
     p.add_argument("--max-v", type=int, default=6, dest="max_v")
-    p.add_argument("--out")
 
-    p = sub.add_parser("lp", help="exact primal/dual duality report")
-    _add_graph_source(p)
+    p = command("lp", cmd_lp, "exact primal/dual duality report")
     p.add_argument("--epsilon", default="1/10", help="rational, e.g. 1/10")
-    p.add_argument("--out")
 
-    p = sub.add_parser("ex", help="exact extremal copy count at tiny scale")
-    _add_graph_source(p)
+    p = command("ex", cmd_ex, "exact extremal copy count at tiny scale")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--out")
 
     return parser
 
 
-_HANDLERS = {
-    "analyze": cmd_analyze,
-    "profile": cmd_profile,
-    "crossover": cmd_crossover,
-    "classify": cmd_classify,
-    "classify-all": cmd_classify_all,
-    "oracle": cmd_oracle,
-    "search": cmd_search,
-    "lp": cmd_lp,
-    "ex": cmd_ex,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        text = args.handler(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except hosts.CountBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -259,7 +259,7 @@ _BUILTIN = re.compile(r"^(P|K|C|star)(\d+)$", re.IGNORECASE)
 def builtin_graph(name: str) -> Graph:
     """Named graphs for the CLI: P<l>, K<k>, C<k>, star<k>, G6."""
     if name.upper() == "G6":
-        return parse_edge_list("1-2,1-3,2-3,3-4,4-5,4-6")
+        return clique_with_pendant_star(3, 2)
     m = _BUILTIN.match(name.strip())
     if not m:
         raise ValueError(f"unknown builtin graph {name!r}")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from copymax import classify
 from copymax.classify import (
     _predicted_start,
     classify_type,
@@ -168,6 +169,18 @@ def test_sweep_small():
     csv = sweep_to_csv(rows)
     assert csv.startswith("graph6,v,e,alpha,alpha_star,A,pattern,gamma,delta\n")
     assert len(csv.strip().split("\n")) == 10
+
+
+def test_sweep_builds_each_census_once(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return spectrum(g)
+
+    monkeypatch.setattr(classify, "spectrum", counting)
+    rows = sweep_connected_graphs(4)
+    assert len(rows) == len(calls) == 9
 
 
 @pytest.mark.parametrize("g", [clique_with_pendant_star(3, 3),

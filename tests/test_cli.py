@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from copymax.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 # the benchmark's reference check, read from bench/ without importing it
 compare = runpy.run_path(str(ROOT / "bench" / "check.py"))["compare"]
@@ -39,11 +41,19 @@ def test_analyze_g6_matches_reference():
     assert run_cli("analyze", "--builtin", "G6").stdout == ref
 
 
-@pytest.mark.parametrize("command", ["classify", "profile"])
-def test_sweep_g6_matches_reference(command):
-    # the S/T/K sweep outputs, held to the benchmark's reference check
-    ref = (ROOT / "bench" / "references" / f"{command}-builtin-G6.out").read_text()
-    assert compare(run_cli(command, "--builtin", "G6").stdout, ref) is None
+@pytest.mark.parametrize("argv, reference", [
+    pytest.param("classify --builtin G6", "classify-builtin-G6", id="classify"),
+    pytest.param("profile --builtin G6", "profile-builtin-G6", id="profile"),
+    pytest.param("crossover --builtin G6 --q1 1 --q2 1/sqrt2",
+                 "crossover-builtin-G6-q1-1-q2-1-sqrt2", id="crossover"),
+    pytest.param("lp --builtin G6 --epsilon 1/10", "lp-builtin-G6-epsilon-1-10",
+                 id="lp-G6"),
+    pytest.param("lp --builtin K8 --epsilon 1", "lp-builtin-K8-epsilon-1", id="lp-K8"),
+])
+def test_sweep_g6_matches_reference(argv, reference):
+    # outputs held to the benchmark's reference check
+    ref = (ROOT / "bench" / "references" / f"{reference}.out").read_text()
+    assert compare(run_cli(*argv.split()).stdout, ref) is None
 
 
 def test_analyze_ten_vertices_automorphisms():
@@ -155,3 +165,39 @@ def test_invalid_input_exit_code():
 def test_budget_exit_code():
     run_cli("oracle", "--builtin", "G6", "--beta", "0.5", "--q", "0.5",
             "--n-list", "40", "--budget", "100", expect=3)
+
+
+def test_explicit_empty_values_are_input_errors():
+    for flag in ("--n-list", "--q", "--beta"):
+        run_cli("oracle", "--builtin", "P2", flag, "", expect=2)
+    # removed flags are unknown options
+    run_cli("analyze", "--builtin", "G6", "--q", "0.5", expect=2)
+    run_cli("classify-all", "--max-v", "3", "--tol", "1e-7", expect=2)
+
+
+@pytest.mark.parametrize("argv", [
+    "analyze --builtin G6",
+    "profile --builtin P4 --beta 0.01:0.9:5",
+    "crossover --builtin G6 --q1 1 --q2 1/sqrt2",
+    "classify --builtin P2",
+    "classify-all --max-v 3",
+    "oracle --builtin P2 --n-list 20,40",
+    "search --max-v 5",
+    "lp --builtin G6",
+    "ex --builtin K3 --n 5 --e 6",
+], ids=lambda argv: argv.split()[0])
+def test_out_file_holds_stdout(argv, tmp_path, capsys):
+    assert main(argv.split()) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main([*argv.split(), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+
+
+def test_oracle_defaults(capsys):
+    assert main(["oracle", "--builtin", "P2"]) == 0
+    default = capsys.readouterr().out
+    assert main(["oracle", "--builtin", "P2", "--beta", "0.2", "--q", "1/sqrt2",
+                 "--n-list", "30,60"]) == 0
+    assert capsys.readouterr().out == default

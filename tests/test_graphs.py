@@ -295,7 +295,7 @@ def test_enumeration_cap():
 # builtins
 
 def test_builtin_names(g6):
-    assert builtin_graph("G6") == g6
+    assert builtin_graph("G6") == g6 == parse_edge_list("1-2,1-3,2-3,3-4,4-5,4-6")
     assert builtin_graph("P4") == path_graph(4)
     assert builtin_graph("K5") == complete_graph(5)
     assert builtin_graph("C5") == cycle_graph(5)
