@@ -71,6 +71,7 @@ from .hosts import (
     convergence_report,
     copies_count,
     hom_count,
+    hom_count_from_partitions,
     injective_count,
     injective_count_from_spectrum,
     three_class_graph,

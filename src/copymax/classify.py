@@ -31,7 +31,13 @@ from .graphs import (
     write_graph6,
     _graph_classes,
 )
-from .hosts import copies_count, three_class_graph
+from .hosts import (
+    DEFAULT_BUDGET,
+    _copies,
+    automorphism_count,
+    copies_count,
+    injective_count_from_spectrum,
+)
 from .weightings import spectrum
 
 
@@ -215,12 +221,14 @@ def sweep_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def exhaustive_ex(n: int, e: int, pattern: Graph):
+def exhaustive_ex(n: int, e: int, pattern: Graph, budget: int = DEFAULT_BUDGET):
     """Exact maximum of the copy count over all hosts with n vertices and at
     most e edges, by exhausting isomorphism classes.
 
     Adding an edge never destroys a copy, so the maximum is attained with
-    exactly min(e, C(n,2)) edges; only that level is counted.
+    exactly min(e, C(n,2)) edges; only that level is counted.  Each host is
+    counted by backtracking, which raises CountBudgetExceeded past
+    ``budget`` search nodes.
     """
     if n > MAX_ENUMERATION:
         raise ValueError(f"exhaustive search limited to {MAX_ENUMERATION} vertices")
@@ -232,7 +240,7 @@ def exhaustive_ex(n: int, e: int, pattern: Graph):
     best_host = None
     for mask in levels[e]:
         host = graph_from_edge_mask(n, mask)
-        c = copies_count(pattern, host)
+        c = copies_count(pattern, host, budget=budget)
         if c > best:
             best, best_host = c, host
     return best, best_host
@@ -249,8 +257,12 @@ class ThreeClassProbe:
 def three_class_host_probe(n: int, e: int, pattern: Graph) -> ThreeClassProbe:
     """How close the best three-class host of the same size comes to the
     true extremal count (a report, not an assertion: the conjecture that
-    the family is asymptotically optimal is open)."""
+    the family is asymptotically optimal is open).  The three-class hosts
+    are counted by the census route, so the pattern must have no isolated
+    vertices."""
     exhaustive_max, _ = exhaustive_ex(n, e, pattern)
+    spec = spectrum(pattern)
+    aut = automorphism_count(pattern)
     best = -1
     best_sizes = None
     for ny in range(n + 1):
@@ -259,8 +271,7 @@ def three_class_host_probe(n: int, e: int, pattern: Graph) -> ThreeClassProbe:
             edges = ny * (ny - 1) // 2 + nr * (nr - 1) // 2 + nr * ny + nr * nb
             if edges > e:
                 continue
-            host = three_class_graph(ny, nr, nb)
-            c = copies_count(pattern, host)
+            c = _copies(injective_count_from_spectrum(spec, (ny, nr, nb)), aut)
             if c > best:
                 best, best_sizes = c, (ny, nr, nb)
     ratio = best / exhaustive_max if exhaustive_max > 0 else math.nan

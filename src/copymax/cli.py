@@ -2,7 +2,8 @@
 
 Identical invocations produce byte-identical output: floats are printed
 with 12 significant digits and all iteration orders are deterministic.
-Exit codes: 0 success, 2 invalid input, 3 counting budget exceeded.
+Exit codes: 0 success, 2 invalid input, 3 counting budget exceeded (the
+backtracking search of ``ex --budget``).
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ def _parse_beta_range(text):
     if steps < 2 or not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"bad beta range {text!r}")
     return [float(b) for b in np.linspace(lo, hi, steps)]
+
+
+def _parse_bracket(text):
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"bracket must be lo:hi, got {text!r}")
+    return float(parts[0]), float(parts[1])
 
 
 def _parse_n_list(text):
@@ -120,8 +128,7 @@ def cmd_crossover(args):
     spec = weightings.spectrum(g)
     q1, q2 = _parse_q(args.q1), _parse_q(args.q2)
     if args.bracket is not None:
-        lo, hi = (float(x) for x in args.bracket.split(":"))
-        bracket = (lo, hi)
+        bracket = _parse_bracket(args.bracket)
     else:
         bracket = density.crossover_bracket(spec, q1, q2)
     root = density.crossover_beta(spec, q1, q2, bracket, tol=args.tol)
@@ -148,8 +155,7 @@ def cmd_classify_all(args):
 def cmd_oracle(args):
     g = _load_graph(args)
     q, n_list = _parse_q(args.q), _parse_n_list(args.n_list)
-    result = hosts.convergence_report(g, args.beta, q, n_list, budget=args.budget)
-    return result.to_csv()
+    return hosts.convergence_report(g, args.beta, q, n_list).to_csv()
 
 
 def cmd_search(args):
@@ -175,7 +181,7 @@ def cmd_lp(args):
 
 def cmd_ex(args):
     pattern = _load_graph(args)
-    best, host = cls.exhaustive_ex(args.n, args.e, pattern)
+    best, host = cls.exhaustive_ex(args.n, args.e, pattern, budget=args.budget)
     out = {
         "n": args.n,
         "e": args.e,
@@ -230,7 +236,6 @@ def build_parser():
     p.add_argument("--beta", type=float, default=0.2)
     p.add_argument("--q", default="1/sqrt2")
     p.add_argument("--n-list", dest="n_list", metavar="30,60,120", default="30,60")
-    p.add_argument("--budget", type=int, default=hosts.DEFAULT_BUDGET)
 
     p = command("search", cmd_search, "graphs where an interior host must win at small beta",
                 graph=False)
@@ -242,6 +247,8 @@ def build_parser():
     p = command("ex", cmd_ex, "exact extremal copy count at tiny scale")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
+    p.add_argument("--budget", type=int, default=hosts.DEFAULT_BUDGET,
+                   help="search nodes allowed per host count")
 
     return parser
 

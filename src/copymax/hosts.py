@@ -1,19 +1,28 @@
-"""Explicit finite hosts and brute-force subgraph counting.
+"""Exact subgraph counts on finite hosts: the census route and the search.
 
 The three-class hosts realise, at finite n, the family the density model
 reasons about in the limit: a yellow clique, a red clique joined completely
 to everything else, and a blue independent set, with |Y| ~ y(q) n,
-|R| ~ r(q) n and B taking the remainder.  Backtracking search over explicit
-adjacency bitsets provides ground-truth homomorphism and embedding counts;
-the census route (falling factorials against the class sizes) must agree
-with the search to the exact integer, which is the central oracle identity
-of the test suite.  The same search counts automorphisms, as the
+|R| ~ r(q) n and B taking the remainder.  On these hosts the counts come
+from the class sizes alone.  An embedding sorts the pattern's vertices into
+the three classes, which induces a valid weighting, so the embedding count
+is the weighting census summed against falling factorials of the class
+sizes.  Every homomorphism is an embedding of a quotient F/P, with P a
+partition of V(F) into independent blocks (the Moebius relation over the
+partition lattice), so the homomorphism count is the same sum over the
+census of every such quotient.  This route counts `convergence_report`
+and never builds the host.
+
+Backtracking search over explicit adjacency bitsets is the oracle: it
+counts homomorphisms and embeddings into any host, must agree with the
+census route to the exact integer, and counts automorphisms as the
 self-embeddings of a graph.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +113,9 @@ def three_class_graph(ny: int, nr: int, nb: int) -> Graph:
     return Graph._from_adjacency(n, adj)
 
 
-def build_host(n: int, beta: float, q: float) -> HostGraph:
-    """Three-class host rounded to n vertices: |Y| and |R| to nearest,
-    remainder to B."""
+def _class_sizes(n: int, beta: float, q: float) -> tuple:
+    """(|Y|, |R|, |B|) of the three-class host on n vertices: |Y| and |R|
+    rounded to nearest, the remainder to B."""
     if n < 10:
         raise ValueError("hosts need n >= 10")
     fr = class_fractions(beta, q)
@@ -115,9 +124,16 @@ def build_host(n: int, beta: float, q: float) -> HostGraph:
     nb = n - ny - nr
     if nb < 0:
         raise ValueError(f"rounding left no room for the B class at n={n}")
+    return ny, nr, nb
+
+
+def build_host(n: int, beta: float, q: float) -> HostGraph:
+    """Three-class host rounded to n vertices: |Y| and |R| to nearest,
+    remainder to B."""
+    sizes = _class_sizes(n, beta, q)
     return HostGraph(
-        graph=three_class_graph(ny, nr, nb),
-        class_sizes=(ny, nr, nb),
+        graph=three_class_graph(*sizes),
+        class_sizes=sizes,
         beta=beta,
         q=q,
         target_edges=beta * n * n / 2.0,
@@ -218,17 +234,22 @@ def _count_maps(pattern: Graph, host, injective: bool, budget: int) -> int:
     return state["count"]
 
 
-def hom_count(pattern: Graph, host, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact number of edge-preserving maps from the pattern to the host."""
+def _check_pattern_size(pattern: Graph):
+    # the search grows like n^v and the independent partitions like the
+    # Bell numbers: star15 would not finish
     if pattern.n > MAX_PATTERN_VERTICES:
         raise ValueError(f"pattern limited to {MAX_PATTERN_VERTICES} vertices")
+
+
+def hom_count(pattern: Graph, host, budget: int = DEFAULT_BUDGET) -> int:
+    """Exact number of edge-preserving maps from the pattern to the host."""
+    _check_pattern_size(pattern)
     return _count_maps(pattern, host, injective=False, budget=budget)
 
 
 def injective_count(pattern: Graph, host, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of labelled embeddings (injective homomorphisms)."""
-    if pattern.n > MAX_PATTERN_VERTICES:
-        raise ValueError(f"pattern limited to {MAX_PATTERN_VERTICES} vertices")
+    _check_pattern_size(pattern)
     return _count_maps(pattern, host, injective=True, budget=budget)
 
 
@@ -239,48 +260,112 @@ def automorphism_count(g: Graph) -> int:
     return _count_maps(g, g, injective=True, budget=DEFAULT_BUDGET)
 
 
-def copies_count(pattern: Graph, host, budget: int = DEFAULT_BUDGET) -> int:
-    """Unlabelled copies: embeddings divided by the automorphism count."""
-    inj = injective_count(pattern, host, budget=budget)
-    aut = automorphism_count(pattern)
+def _copies(inj: int, aut: int) -> int:
     if inj % aut:
         raise RuntimeError(f"embedding count {inj} not divisible by |Aut| = {aut}")
     return inj // aut
 
 
-def injective_count_from_spectrum(spec, host: HostGraph) -> int:
-    """Census route to the embedding count: an embedding sorts the pattern
-    vertices into the three classes, the induced weighting is valid, and
-    within each class any injective placement works, so the count is the
-    census sum of falling factorials.  Must equal injective_count exactly.
-    """
-    ny, nr, nb = host.class_sizes
+def copies_count(pattern: Graph, host, budget: int = DEFAULT_BUDGET) -> int:
+    """Unlabelled copies: embeddings divided by the automorphism count."""
+    return _copies(injective_count(pattern, host, budget=budget),
+                   automorphism_count(pattern))
+
+
+def _census_sum(entries, host) -> int:
+    """Census entries summed against falling factorials of the class sizes
+    of a three-class host, given as a HostGraph or as (|Y|, |R|, |B|)."""
+    ny, nr, nb = host.class_sizes if isinstance(host, HostGraph) else host
     total = 0
-    for (rc, yc, bc), mult in spec.entries:
+    for (rc, yc, bc), mult in entries:
         total += mult * math.perm(ny, yc) * math.perm(nr, rc) * math.perm(nb, bc)
     return total
 
 
-def convergence_report(pattern: Graph, beta: float, q: float, n_list,
-                       budget: int = DEFAULT_BUDGET) -> ConvergenceResult:
-    """Exact counts against the limiting density for growing host sizes."""
+def injective_count_from_spectrum(spec, host) -> int:
+    """Census route to the embedding count into a three-class host (a
+    HostGraph or its class sizes): an embedding sorts the pattern vertices
+    into the three classes, the induced weighting is valid, and within each
+    class any injective placement works, so the count is the census sum of
+    falling factorials.  Must equal injective_count exactly.
+    """
+    return _census_sum(spec.entries, host)
+
+
+def independent_partitions(g: Graph) -> list:
+    """Every partition of the vertex set into independent blocks, each a
+    tuple of block bitmasks: vertex u joins, in turn, every block that
+    holds none of its neighbours, or opens a block of its own."""
+    out = []
+
+    def place(u, blocks):
+        if u == g.n:
+            out.append(blocks)
+            return
+        bit = 1 << u
+        for i, block in enumerate(blocks):
+            if not block & g.adj[u]:
+                place(u + 1, blocks[:i] + (block | bit,) + blocks[i + 1:])
+        place(u + 1, blocks + (bit,))
+
+    place(0, ())
+    return out
+
+
+def _quotient(g: Graph, blocks) -> Graph:
+    """F/P: one vertex per block, two blocks adjacent when an edge of g
+    joins them (blocks are independent, so no loops arise)."""
+    reach = []
+    for block in blocks:
+        m = 0
+        for u in range(g.n):
+            if block >> u & 1:
+                m |= g.adj[u]
+        reach.append(m)
+    adj = [sum(1 << j for j, other in enumerate(blocks) if reach[i] & other)
+           for i in range(len(blocks))]
+    return Graph._from_adjacency(len(blocks), adj)
+
+
+def _hom_census(pattern: Graph) -> tuple:
+    """The spectra of F/P over the independent partitions P, merged into
+    one census of signatures: hom(F, G) = sum over P of inj(F/P, G)."""
+    _check_pattern_size(pattern)
+    total = Counter()
+    for blocks in independent_partitions(pattern):
+        total.update(dict(spectrum(_quotient(pattern, blocks)).entries))
+    return tuple(sorted(total.items()))
+
+
+def hom_count_from_partitions(pattern: Graph, host) -> int:
+    """Census route to the homomorphism count into a three-class host
+    (a HostGraph or its class sizes): the sum over the partitions P of the
+    pattern into independent blocks of the census count of inj(F/P).  The
+    pattern must have no isolated vertices.  Must equal hom_count exactly.
+    """
+    return _census_sum(_hom_census(pattern), host)
+
+
+def convergence_report(pattern: Graph, beta: float, q: float,
+                       n_list) -> ConvergenceResult:
+    """Exact counts against the limiting density for growing host sizes,
+    by the census route: only the class sizes of each host are formed."""
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     spec = spectrum(pattern)
+    hom_entries = _hom_census(pattern)
     t_ref = t_density(spec, beta, q)
     aut = automorphism_count(pattern)
     v = pattern.n
     reports = []
     for n in n_list:
-        host = build_host(n, beta, q)
-        hom = hom_count(pattern, host, budget=budget)
-        inj = injective_count(pattern, host, budget=budget)
-        if inj % aut:
-            raise RuntimeError("embedding count not divisible by |Aut|")
+        sizes = _class_sizes(n, beta, q)
+        hom = _census_sum(hom_entries, sizes)
+        inj = injective_count_from_spectrum(spec, sizes)
         normalised = inj / n ** v
         reports.append(CountReport(
-            n=n, beta=beta, q=q, hom=hom, injective=inj, copies=inj // aut,
+            n=n, beta=beta, q=q, hom=hom, injective=inj, copies=_copies(inj, aut),
             normalised=normalised, t_reference=t_ref,
             gap=abs(normalised - t_ref),
         ))

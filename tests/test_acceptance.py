@@ -43,6 +43,7 @@ from copymax.hosts import (
     build_host,
     convergence_report,
     copies_count,
+    hom_count,
     injective_count,
     injective_count_from_spectrum,
 )
@@ -168,6 +169,12 @@ def test_criterion_09_convergence(g6):
         r.hom == sum(injective_count_from_spectrum(spec, build_host(r.n, beta, q))
                      for _, spec in quotients)
         for r in result.reports)
+    # the report counts by the census; backtracking on the built host is
+    # the ground truth it must meet
+    host_of = {r.n: build_host(r.n, beta, q) for r in result.reports}
+    search_ok = all(r.hom == hom_count(g6, host_of[r.n])
+                    and r.injective == injective_count(g6, host_of[r.n])
+                    for r in result.reports)
 
     scaled = [(r.hom - r.injective) / r.injective * r.n for r in result.reports]
     excess = [s - c_inf for s in scaled]
@@ -175,11 +182,12 @@ def test_criterion_09_convergence(g6):
     ratio_ok = (all(e > 0.0 for e in excess)
                 and all(a > b for a, b in zip(scaled, scaled[1:]))
                 and all(a >= b for a, b in zip(n_excess, n_excess[1:])))
-    ok = decreasing and bounded and identity_ok and ratio_ok
+    ok = decreasing and bounded and identity_ok and search_ok and ratio_ok
     _report(9, ok,
             f"gaps={[f'{g:.3e}' for g in gaps]} decreasing={decreasing}, "
             f"fitted C={c_fit:.4f} bound ok={bounded}; hom = sum over "
-            f"{len(quotients)} independent partitions of inj(F/P) ok={identity_ok}; "
+            f"{len(quotients)} independent partitions of inj(F/P) ok={identity_ok}, "
+            f"= backtracking ok={search_ok}; "
             f"C_inf={c_inf:.4f}, (hom/inj-1)*n={[f'{s:.3f}' for s in scaled]}, "
             f"excess over C_inf={[f'{e:.3f}' for e in excess]}, "
             f"n*excess={[f'{e:.1f}' for e in n_excess]} -> {ratio_ok}")

@@ -163,8 +163,22 @@ def test_invalid_input_exit_code():
 
 
 def test_budget_exit_code():
-    run_cli("oracle", "--builtin", "G6", "--beta", "0.5", "--q", "0.5",
-            "--n-list", "40", "--budget", "100", expect=3)
+    # ex counts each host by backtracking, which the budget can cut short
+    cp = run_cli("ex", "--builtin", "G6", "--n", "7", "--e", "12", "--budget", "100",
+                 expect=3)
+    assert "count aborted after 101 nodes" in cp.stderr
+
+
+def test_oracle_refuses_nine_vertex_pattern():
+    # the partition route would list Bell-many partitions: refused up front
+    cp = run_cli("oracle", "--builtin", "C9", expect=2, timeout=30)
+    assert "pattern limited to 8 vertices" in cp.stderr
+
+
+def test_crossover_bracket_needs_two_values():
+    cp = run_cli("crossover", "--builtin", "G6", "--q1", "1", "--q2", "1/sqrt2",
+                 "--bracket", "0.01:0.02:0.03", expect=2)
+    assert "bracket must be lo:hi, got '0.01:0.02:0.03'" in cp.stderr
 
 
 def test_explicit_empty_values_are_input_errors():

@@ -39,10 +39,11 @@ def random_graph(rng, n, p=0.5):
 # ---------------------------------------------------------------------------
 # parsing
 
-def test_parse_edge_list_g6(g6):
-    assert g6.n == 6
-    assert g6.edge_count == 6
-    assert set(g6.edges) == {(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5)}
+def test_parse_edge_list_g6():
+    g = parse_edge_list("1-2,1-3,2-3,3-4,4-5,4-6")
+    assert g.n == 6
+    assert g.edge_count == 6
+    assert set(g.edges) == {(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5)}
 
 
 def test_parse_edge_list_single_edge():
@@ -169,8 +170,8 @@ def test_max_independent_sets_bound_at_half_alpha():
 
 
 @st.composite
-def graphs_without_isolated_vertices(draw):
-    n = draw(st.integers(min_value=2, max_value=9))
+def graphs_without_isolated_vertices(draw, max_v=9):
+    n = draw(st.integers(min_value=2, max_value=max_v))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True))
     covered = {u for e in edges for u in e}

@@ -1,9 +1,13 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from copymax import hosts
 from copymax.density import t_density
 from copymax.graphs import (
     Graph,
@@ -20,6 +24,8 @@ from copymax.hosts import (
     convergence_report,
     copies_count,
     hom_count,
+    hom_count_from_partitions,
+    independent_partitions,
     injective_count,
     injective_count_from_spectrum,
     three_class_graph,
@@ -31,6 +37,7 @@ from oracles import (
     ref_quotient,
     ref_set_partitions,
 )
+from test_graphs import graphs_without_isolated_vertices, small_graphs
 
 Q_HALF = 1.0 / math.sqrt(2.0)
 
@@ -134,6 +141,55 @@ def test_partition_oracles(g6):
     assert sum(len(p) == g6.n - 1 for p in parts) == 9
     assert ref_quotient(g6, [[0, 3], [1], [2], [4], [5]]) == (
         5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
+
+
+def _as_sets(partitions):
+    return sorted(sorted(sorted(block) for block in p) for p in partitions)
+
+
+def _blocks(g, masks):
+    return [[u for u in range(g.n) if mask >> u & 1] for mask in masks]
+
+
+def test_independent_partitions_g6(g6):
+    parts = independent_partitions(g6)
+    assert len(parts) == 37
+    assert _as_sets(_blocks(g6, p) for p in parts) == _as_sets(ref_independent_partitions(g6))
+
+
+@given(small_graphs())
+@settings(max_examples=100, deadline=None)
+def test_independent_partitions_against_oracle(g):
+    assert (_as_sets(_blocks(g, p) for p in independent_partitions(g))
+            == _as_sets(ref_independent_partitions(g)))
+
+
+@st.composite
+def three_class_sizes(draw, max_n=25):
+    ny = draw(st.integers(0, max_n))
+    nr = draw(st.integers(0, max_n - ny))
+    nb = draw(st.integers(0 if ny + nr else 1, max_n - ny - nr))
+    return ny, nr, nb
+
+
+@given(graphs_without_isolated_vertices(max_v=6), three_class_sizes())
+@settings(max_examples=60, deadline=None)
+def test_census_routes_against_search(pattern, sizes):
+    host = three_class_graph(*sizes)
+    assert hom_count_from_partitions(pattern, sizes) == hom_count(pattern, host)
+    assert (injective_count_from_spectrum(spectrum(pattern), sizes)
+            == injective_count(pattern, host))
+
+
+def test_census_copies_on_every_seven_vertex_host(g6):
+    # the three-class hosts three_class_host_probe scans at n = 7
+    aut = automorphism_count(g6)
+    sizes = [(ny, nr, 7 - ny - nr) for ny in range(8) for nr in range(8 - ny)]
+    assert len(sizes) == 36
+    for s in sizes:
+        census = injective_count_from_spectrum(spectrum(g6), s)
+        assert census % aut == 0
+        assert census // aut == copies_count(g6, three_class_graph(*s))
 
 
 def test_hom_is_sum_over_independent_partitions():
@@ -241,6 +297,26 @@ def test_convergence_csv_format():
     assert lines[0] == "n,beta,q,hom,injective,copies,normalised,t_reference,gap"
     assert len(lines) == 3
     assert lines[1].startswith("50,0.5,1,")
+
+
+def test_convergence_at_a_million_vertices(g6, monkeypatch):
+    # only class sizes are formed: building this host would not fit in memory
+    def refuse(*args):
+        raise AssertionError("convergence_report built a host graph")
+    monkeypatch.setattr(hosts, "three_class_graph", refuse)
+    beta, n = 0.2, 10 ** 6
+    t_f = t_density(spectrum(g6), beta, Q_HALF)
+    c_inf = sum(t_density(spectrum(Graph(*ref_quotient(g6, p))), beta, Q_HALF) / t_f
+                for p in ref_independent_partitions(g6) if len(p) == g6.n - 1)
+    start = time.perf_counter()
+    (r,) = convergence_report(g6, beta, Q_HALF, [n]).reports
+    assert time.perf_counter() - start < 5.0
+    assert abs((r.hom - r.injective) * n / r.injective - c_inf) < 1e-3
+
+
+def test_convergence_pattern_limit():
+    with pytest.raises(ValueError, match="pattern limited to 8 vertices"):
+        convergence_report(cycle_graph(9), 0.2, Q_HALF, [30])
 
 
 def test_convergence_requires_increasing(g6):
