@@ -165,10 +165,11 @@ def test_independent_partitions_against_oracle(g):
 
 
 @st.composite
-def three_class_sizes(draw, max_n=25):
-    ny = draw(st.integers(0, max_n))
-    nr = draw(st.integers(0, max_n - ny))
-    nb = draw(st.integers(0 if ny + nr else 1, max_n - ny - nr))
+def three_class_sizes(draw):
+    # (|Y|, |R|, |B|) of a host on 1..25 vertices
+    ny = draw(st.integers(0, 25))
+    nr = draw(st.integers(0, 25 - ny))
+    nb = draw(st.integers(0 if ny + nr else 1, 25 - ny - nr))
     return ny, nr, nb
 
 
