@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Exact extremal counts at tiny scale, and counterexample hunting.
 
-At n <= 7 the maximum copy count over all hosts with a bounded edge budget
+At n <= 8 the maximum copy count over all hosts with a bounded edge budget
 can be computed by exhausting isomorphism classes.  Separately, scanning
 all small connected graphs for alpha* > max(alpha, v/2) finds every graph
 whose optimal host family must open with a strictly interior member: none

@@ -19,8 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-MAX_CANONICAL = 8         # full-permutation canonical forms
-MAX_ENUMERATION = 7       # graph classes on <= 7 vertices
+MAX_ENUMERATION = 8       # canonical forms and graph classes on <= 8 vertices
 
 
 class Graph:
@@ -296,42 +295,43 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # canonical forms and enumeration up to isomorphism
 #
-# The canonical form of a graph on n <= 8 vertices is the minimum, over all
-# vertex permutations, of the edge-set bitmask (bit j(j-1)/2 + i set when
-# permuted vertices i < j are adjacent).  A batched numpy scan over the whole
-# symmetric group is plenty fast at this size and trivially correct.
+# Pair i < j of an n-vertex graph is bit j(j-1)/2 + i of its edge mask.  The
+# canonical form is the minimum, over all n! vertex permutations, of the
+# permuted edge mask.  ``_pair_images(n)`` holds, for each pair bit, its
+# image bit under every permutation, so a graph's n! images are the OR of
+# its edges' rows and one numpy min gives the form.  The rows are int32,
+# which holds the C(8, 2) = 28 pair bits of MAX_ENUMERATION vertices.
 
 @lru_cache(maxsize=None)
-def _all_perms(n):
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+def _pair_images(n):
+    """(C(n,2), n!) int32 table: row k is 1 << (image of pair bit k) under
+    each permutation, in itertools.permutations order."""
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                        dtype=np.int8).reshape(-1, n)
+    pairs = [(i, j) for j in range(n) for i in range(j)]      # bit k <-> pairs[k]
+    bit = np.zeros((n, n), dtype=np.int32)
+    for k, (i, j) in enumerate(pairs):
+        bit[i, j] = bit[j, i] = k
+    table = np.empty((len(pairs), len(perms)), dtype=np.int32)
+    for k, (i, j) in enumerate(pairs):
+        np.left_shift(1, bit[perms[:, i], perms[:, j]], out=table[k])
+    return table
 
 
-@lru_cache(maxsize=None)
-def _pair_bit(n):
-    idx = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        for i in range(j):
-            idx[i, j] = idx[j, i] = j * (j - 1) // 2 + i
-    return idx
-
-
-def _canonical_mask(n, edges):
-    if not edges:
-        return 0
-    perms = _all_perms(n)
-    pair = _pair_bit(n)
-    masks = np.zeros(len(perms), dtype=np.int64)
-    one = np.int64(1)
-    for u, v in edges:
-        masks |= one << pair[perms[:, u], perms[:, v]]
-    return int(masks.min())
+def _images(table, bits):
+    """Edge masks of one graph under every permutation, from its pair bits."""
+    images = np.zeros(table.shape[1], dtype=np.int32)
+    for k in bits:
+        images |= table[k]
+    return images
 
 
 def canonical_form(g: Graph):
     """(n, minimum edge bitmask); equal exactly for isomorphic graphs."""
-    if g.n > MAX_CANONICAL:
-        raise ValueError(f"canonical form limited to {MAX_CANONICAL} vertices")
-    return (g.n, _canonical_mask(g.n, g.edges))
+    if g.n > MAX_ENUMERATION:
+        raise ValueError(f"canonical form limited to {MAX_ENUMERATION} vertices")
+    bits = [v * (v - 1) // 2 + u for u, v in g.edges]       # edges have u < v
+    return (g.n, int(_images(_pair_images(g.n), bits).min()))
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
@@ -355,19 +355,18 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
 def _graph_classes(n):
     """Canonical masks of every isomorphism class on n vertices, grouped by
     edge count (built level by level: every class with k+1 edges arises from
-    one with k edges by adding a single edge)."""
-    pairs = [(i, j) for j in range(n) for i in range(j)]  # bit k <-> pairs[k]
+    one with k edges by adding a single edge).  Each class's images are
+    formed once; adding free pair k to all of them is one OR with row k."""
+    table = _pair_images(n)
+    buf = np.empty(table.shape[1], dtype=np.int32)
     levels = [(0,)]
-    current = {0}
-    for _ in range(len(pairs)):
+    for _ in range(len(table)):
         nxt = set()
-        for mask in current:
-            edges = list(graph_from_edge_mask(n, mask).edges)
-            for bit, pair in enumerate(pairs):
-                if mask >> bit & 1:
-                    continue
-                nxt.add(_canonical_mask(n, edges + [pair]))
-        current = nxt
+        for mask in levels[-1]:
+            images = _images(table, [k for k in range(len(table)) if mask >> k & 1])
+            for k in range(len(table)):
+                if not mask >> k & 1:
+                    nxt.add(int(np.bitwise_or(images, table[k], out=buf).min()))
         levels.append(tuple(sorted(nxt)))
     return levels
 

@@ -98,3 +98,19 @@ def ref_quotient(g, partition):
     block_of = {u: i for i, block in enumerate(partition) for u in block}
     edges = {tuple(sorted((block_of[u], block_of[v]))) for u, v in g.edges}
     return len(partition), sorted(edges)
+
+
+def ref_graph_classes(n):
+    """Every labelled graph on n vertices reduced to its minimum edge mask
+    over itertools.permutations (pair i < j is bit j(j-1)/2 + i), grouped
+    by edge count as sorted tuples.  2^C(n,2) * n! work: n <= 5."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    bit = {pair: k for k, pair in enumerate(pairs)}
+    perms = list(itertools.permutations(range(n)))
+    levels = [set() for _ in range(len(pairs) + 1)]
+    for mask in range(1 << len(pairs)):
+        edges = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+        levels[len(edges)].add(min(
+            sum(1 << bit[tuple(sorted((p[u], p[v])))] for u, v in edges)
+            for p in perms))
+    return [tuple(sorted(level)) for level in levels]

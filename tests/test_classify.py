@@ -231,11 +231,17 @@ def test_ex_against_labelled_scan():
 
 
 def test_ex_cap():
-    # class enumeration stops at 7 vertices; larger hosts are refused
+    # class enumeration stops at 8 vertices; larger hosts are refused
     # before any enumeration starts
-    for n in (8, 10):
-        with pytest.raises(ValueError, match="limited to 7 vertices"):
+    for n in (9, 10):
+        with pytest.raises(ValueError, match="limited to 8 vertices"):
             exhaustive_ex(n, 5, complete_graph(2))
+
+
+def test_ex_eight_vertices():
+    # 10 edges hold at most the 10 triangles of K5 (Kruskal-Katona)
+    best, host = exhaustive_ex(8, 10, complete_graph(3))
+    assert best == 10 and host.n == 8 and host.edge_count == 10
 
 
 def test_three_class_probe():

@@ -142,10 +142,10 @@ def test_ex_command():
     assert data["maximum"] == 4
 
 
-def test_ex_refuses_eight_vertices():
-    # refused up front: enumerating the 8-vertex classes would not finish
-    cp = run_cli("ex", "--builtin", "P2", "--n", "8", "--e", "3", expect=2, timeout=30)
-    assert "limited to 7 vertices" in cp.stderr
+def test_ex_refuses_nine_vertices():
+    # refused up front: the 9-vertex classes are beyond the enumeration limit
+    cp = run_cli("ex", "--builtin", "P2", "--n", "9", "--e", "3", expect=2, timeout=30)
+    assert "limited to 8 vertices" in cp.stderr
 
 
 def test_oracle_command():

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copymax.graphs import (
+    MAX_ENUMERATION,
     Graph,
+    _graph_classes,
     are_isomorphic,
     builtin_graph,
     canonical_form,
@@ -28,7 +30,7 @@ from copymax.graphs import (
 )
 from copymax.hosts import automorphism_count
 from copymax.weightings import spectrum
-from oracles import ref_automorphism_count, ref_independent_counts
+from oracles import ref_automorphism_count, ref_graph_classes, ref_independent_counts
 
 
 def random_graph(rng, n, p=0.5):
@@ -288,8 +290,46 @@ def test_enumerate_matches_direct_scan():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
-        list(enumerate_connected_graphs(8))
+    assert MAX_ENUMERATION == 8
+    with pytest.raises(ValueError, match="enumeration limited to 8 vertices"):
+        list(enumerate_connected_graphs(9))
+    with pytest.raises(ValueError, match="canonical form limited to 8 vertices"):
+        canonical_form(cycle_graph(9))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_graph_classes_match_brute_force(n):
+    assert _graph_classes(n) == ref_graph_classes(n)
+
+
+# OEIS A008406: graphs on n nodes with k edges, k = 0..C(n,2)
+A008406 = {
+    2: (1, 1),
+    3: (1, 1, 1, 1),
+    4: (1, 1, 2, 3, 2, 1, 1),
+    5: (1, 1, 2, 4, 6, 6, 6, 4, 2, 1, 1),
+    6: (1, 1, 2, 5, 9, 15, 21, 24, 24, 21, 15, 9, 5, 2, 1, 1),
+    7: (1, 1, 2, 5, 10, 21, 41, 65, 97, 131, 148, 148, 131, 97, 65, 41, 21, 10,
+        5, 2, 1, 1),
+    8: (1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980, 1312, 1557, 1646, 1557,
+        1312, 980, 663, 402, 221, 115, 56, 24, 11, 5, 2, 1, 1),
+}
+
+
+@pytest.mark.parametrize("n", sorted(A008406))
+def test_graph_class_counts(n):
+    assert tuple(len(level) for level in _graph_classes(n)) == A008406[n]
+
+
+@given(small_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_canonical_form_is_relabelling_invariant(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    n, mask = canonical_form(g)
+    assert canonical_form(relabelled) == (n, mask)
+    assert are_isomorphic(g, relabelled)
+    assert mask in _graph_classes(n)[g.edge_count]
 
 
 # ---------------------------------------------------------------------------
