@@ -13,8 +13,8 @@ hosts far too large to build.
 import math
 
 from copymax import (
-    build_host,
     builtin_graph,
+    class_sizes,
     convergence_report,
     copies_count,
     hom_count,
@@ -24,6 +24,7 @@ from copymax import (
     path_graph,
     spectrum,
     t_density,
+    three_class_graph,
 )
 
 Q = 1.0 / math.sqrt(2.0)
@@ -35,16 +36,17 @@ from copymax import complete_graph, cycle_graph
 print("  copies of the 4-edge path in the 7-cycle:", copies_count(path_graph(4), cycle_graph(7)))
 print("  copies of the 4-edge path in K5:        ", copies_count(path_graph(4), complete_graph(5)))
 
-host = build_host(60, 0.2, Q)
-print(f"\nhost at n = 60, beta = 0.2, q = 1/sqrt2: classes {host.class_sizes}, "
-      f"{host.graph.edge_count} edges (target {host.target_edges:.0f})")
+sizes = class_sizes(60, 0.2, Q)
+host = three_class_graph(*sizes)
+print(f"\nhost at n = 60, beta = 0.2, q = 1/sqrt2: classes {sizes}, "
+      f"{host.edge_count} edges (target {0.2 * 60 * 60 / 2:.0f})")
 search = injective_count(g6, host)
-census = injective_count_from_spectrum(spec, host)
+census = injective_count_from_spectrum(spec, sizes)
 print(f"embeddings by backtracking search: {search}")
 print(f"embeddings by census + falling factorials: {census}")
 print("exact match:", search == census)
 search_hom = hom_count(g6, host)
-partition_hom = hom_count_from_partitions(g6, host)
+partition_hom = hom_count_from_partitions(g6, sizes)
 print(f"homomorphisms (collisions included) by search: {search_hom}")
 print(f"homomorphisms by the partition route:          {partition_hom}")
 print("exact match:", search_hom == partition_hom)
@@ -57,4 +59,3 @@ print(f"  {'n':>7} {'inj/n^6':>12} {'gap':>10} {'n*gap':>7} {'(hom/inj-1)*n':>14
 for r in result.reports:
     print(f"  {r.n:>7} {r.normalised:>12.8f} {r.gap:>10.2e} {r.n * r.gap:>7.4f} "
           f"{(r.hom - r.injective) * r.n / r.injective:>14.4f}")
-print(f"  fitted decay exponent of the gap: {result.decay_rate:.2f} (1 = pure 1/n)")

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""The linear program behind the interior exponent, solved exactly.
+"""The linear program behind the interior exponent, certified exactly.
 
 Maximising sum x_u under x_u + x_w <= 2 - eps on edges (and a unit box)
 yields exactly v - eps (v - alpha*), witnessed by x_u = 1 - eps (1 - phi(u))
-for any maximal weighting phi.  The dual covering program certifies it.
+for any maximal weighting phi.  One simplex solve of the dual covering
+program finds a cover of the same cost, so weak duality proves both optimal.
 Everything below is exact rational arithmetic: no tolerances anywhere.
 """
 

@@ -36,7 +36,6 @@ from .density import (
     CurveSample,
     DensityCurve,
     ProfilePoint,
-    asymptotic_exponent,
     attribute_winner,
     best_t_density,
     class_fractions,
@@ -52,22 +51,16 @@ from .density import (
 from .lp import (
     DualityMismatchError,
     DualityReport,
-    LinearProgram,
-    LPSolution,
-    dual_lp,
     duality_check,
     epsilon_for_density,
-    primal_lp,
     primal_optimum_formula,
-    solve_lp,
 )
 from .hosts import (
     ConvergenceResult,
     CountBudgetExceeded,
     CountReport,
-    HostGraph,
     automorphism_count,
-    build_host,
+    class_sizes,
     convergence_report,
     copies_count,
     hom_count,

@@ -92,7 +92,7 @@ def cmd_analyze(args):
     # automorphism limit
     automorphisms = hosts.automorphism_count(g)
     spec = weightings.spectrum(g)
-    q = _parse_q("1/sqrt2")     # the interior constant is reported at 1/sqrt2
+    q = 1.0 / math.sqrt(2.0)    # the interior constant is reported at 1/sqrt2
     out = {
         "graph6": write_graph6(g),
         "vertices": g.n,

@@ -270,23 +270,3 @@ def crossover_beta(spec, q1: float, q2: float, bracket, tol: float = 1e-6) -> fl
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def asymptotic_exponent(spec, q: float, beta_lo: float, beta_hi: float,
-                        points: int = 24) -> float:
-    """Least-squares slope of log t against log beta on a geometric grid.
-
-    The slope recovers the vanishing-density exponent: v/2 at q = 1,
-    v - alpha_star for interior q, v - alpha at q = 0.
-    """
-    if not 0.0 < beta_lo < beta_hi <= 1.0:
-        raise ValueError("need 0 < beta_lo < beta_hi <= 1")
-    if points < 20:
-        raise ValueError("need at least 20 sample points")
-    betas = np.geomspace(beta_lo, beta_hi, points)
-    ts = np.array([t_density(spec, float(b), q) for b in betas])
-    dead = [float(b) for b, t in zip(betas, ts) if t <= 0.0]
-    if dead:
-        raise ValueError(f"density underflowed to 0 at beta = {dead}")
-    slope = np.polyfit(np.log(betas), np.log(ts), 1)[0]
-    return float(slope)

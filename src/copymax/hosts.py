@@ -25,8 +25,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .density import class_fractions, t_density
 from .graphs import Graph
 from .weightings import spectrum
@@ -43,25 +41,6 @@ class CountBudgetExceeded(RuntimeError):
                          f"(partial count {partial_count})")
         self.partial_count = partial_count
         self.nodes = nodes
-
-
-@dataclass(frozen=True)
-class HostGraph:
-    graph: Graph
-    class_sizes: tuple        # (|Y|, |R|, |B|); vertices blocked in that order
-    beta: float
-    q: float
-    target_edges: float
-
-    @property
-    def n(self):
-        return self.graph.n
-
-    def vertex_class(self, v):
-        ny, nr, _ = self.class_sizes
-        if v < ny:
-            return "Y"
-        return "R" if v < ny + nr else "B"
 
 
 @dataclass(frozen=True)
@@ -85,7 +64,6 @@ class CountReport:
 @dataclass(frozen=True)
 class ConvergenceResult:
     reports: tuple
-    decay_rate: float | None   # fitted exponent of gap ~ n^(-rate)
 
     def to_csv(self):
         lines = ["n,beta,q,hom,injective,copies,normalised,t_reference,gap"]
@@ -113,7 +91,7 @@ def three_class_graph(ny: int, nr: int, nb: int) -> Graph:
     return Graph._from_adjacency(n, adj)
 
 
-def _class_sizes(n: int, beta: float, q: float) -> tuple:
+def class_sizes(n: int, beta: float, q: float) -> tuple:
     """(|Y|, |R|, |B|) of the three-class host on n vertices: |Y| and |R|
     rounded to nearest, the remainder to B."""
     if n < 10:
@@ -125,23 +103,6 @@ def _class_sizes(n: int, beta: float, q: float) -> tuple:
     if nb < 0:
         raise ValueError(f"rounding left no room for the B class at n={n}")
     return ny, nr, nb
-
-
-def build_host(n: int, beta: float, q: float) -> HostGraph:
-    """Three-class host rounded to n vertices: |Y| and |R| to nearest,
-    remainder to B."""
-    sizes = _class_sizes(n, beta, q)
-    return HostGraph(
-        graph=three_class_graph(*sizes),
-        class_sizes=sizes,
-        beta=beta,
-        q=q,
-        target_edges=beta * n * n / 2.0,
-    )
-
-
-def _host_graph(host):
-    return host.graph if isinstance(host, HostGraph) else host
 
 
 def _search_order(pattern: Graph):
@@ -165,11 +126,10 @@ def _search_order(pattern: Graph):
     return order
 
 
-def _count_maps(pattern: Graph, host, injective: bool, budget: int) -> int:
+def _count_maps(pattern: Graph, host: Graph, injective: bool, budget: int) -> int:
     k = pattern.n
-    hg = _host_graph(host)
-    hadj = hg.adj
-    full = (1 << hg.n) - 1
+    hadj = host.adj
+    full = (1 << host.n) - 1
     order = _search_order(pattern)
     prev = [[j for j in range(i) if pattern.has_edge(order[i], order[j])]
             for i in range(k)]
@@ -229,7 +189,7 @@ def _count_maps(pattern: Graph, host, injective: bool, budget: int) -> int:
             rec(pos + 1, used | low if injective else used)
 
     if k == 1:
-        return hg.n
+        return host.n
     rec(0, 0)
     return state["count"]
 
@@ -241,13 +201,13 @@ def _check_pattern_size(pattern: Graph):
         raise ValueError(f"pattern limited to {MAX_PATTERN_VERTICES} vertices")
 
 
-def hom_count(pattern: Graph, host, budget: int = DEFAULT_BUDGET) -> int:
+def hom_count(pattern: Graph, host: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of edge-preserving maps from the pattern to the host."""
     _check_pattern_size(pattern)
     return _count_maps(pattern, host, injective=False, budget=budget)
 
 
-def injective_count(pattern: Graph, host, budget: int = DEFAULT_BUDGET) -> int:
+def injective_count(pattern: Graph, host: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of labelled embeddings (injective homomorphisms)."""
     _check_pattern_size(pattern)
     return _count_maps(pattern, host, injective=True, budget=budget)
@@ -266,30 +226,30 @@ def _copies(inj: int, aut: int) -> int:
     return inj // aut
 
 
-def copies_count(pattern: Graph, host, budget: int = DEFAULT_BUDGET) -> int:
+def copies_count(pattern: Graph, host: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Unlabelled copies: embeddings divided by the automorphism count."""
     return _copies(injective_count(pattern, host, budget=budget),
                    automorphism_count(pattern))
 
 
-def _census_sum(entries, host) -> int:
+def _census_sum(entries, sizes) -> int:
     """Census entries summed against falling factorials of the class sizes
-    of a three-class host, given as a HostGraph or as (|Y|, |R|, |B|)."""
-    ny, nr, nb = host.class_sizes if isinstance(host, HostGraph) else host
+    (|Y|, |R|, |B|) of a three-class host."""
+    ny, nr, nb = sizes
     total = 0
     for (rc, yc, bc), mult in entries:
         total += mult * math.perm(ny, yc) * math.perm(nr, rc) * math.perm(nb, bc)
     return total
 
 
-def injective_count_from_spectrum(spec, host) -> int:
-    """Census route to the embedding count into a three-class host (a
-    HostGraph or its class sizes): an embedding sorts the pattern vertices
+def injective_count_from_spectrum(spec, sizes) -> int:
+    """Census route to the embedding count into the three-class host with
+    class sizes (|Y|, |R|, |B|): an embedding sorts the pattern vertices
     into the three classes, the induced weighting is valid, and within each
     class any injective placement works, so the count is the census sum of
     falling factorials.  Must equal injective_count exactly.
     """
-    return _census_sum(spec.entries, host)
+    return _census_sum(spec.entries, sizes)
 
 
 def independent_partitions(g: Graph) -> list:
@@ -337,13 +297,13 @@ def _hom_census(pattern: Graph) -> tuple:
     return tuple(sorted(total.items()))
 
 
-def hom_count_from_partitions(pattern: Graph, host) -> int:
-    """Census route to the homomorphism count into a three-class host
-    (a HostGraph or its class sizes): the sum over the partitions P of the
+def hom_count_from_partitions(pattern: Graph, sizes) -> int:
+    """Census route to the homomorphism count into the three-class host
+    with class sizes (|Y|, |R|, |B|): the sum over the partitions P of the
     pattern into independent blocks of the census count of inj(F/P).  The
     pattern must have no isolated vertices.  Must equal hom_count exactly.
     """
-    return _census_sum(_hom_census(pattern), host)
+    return _census_sum(_hom_census(pattern), sizes)
 
 
 def convergence_report(pattern: Graph, beta: float, q: float,
@@ -360,7 +320,7 @@ def convergence_report(pattern: Graph, beta: float, q: float,
     v = pattern.n
     reports = []
     for n in n_list:
-        sizes = _class_sizes(n, beta, q)
+        sizes = class_sizes(n, beta, q)
         hom = _census_sum(hom_entries, sizes)
         inj = injective_count_from_spectrum(spec, sizes)
         normalised = inj / n ** v
@@ -369,10 +329,4 @@ def convergence_report(pattern: Graph, beta: float, q: float,
             normalised=normalised, t_reference=t_ref,
             gap=abs(normalised - t_ref),
         ))
-    gaps = [(r.n, r.gap) for r in reports if r.gap > 0.0]
-    decay = None
-    if len(gaps) >= 2:
-        xs = np.log([n for n, _ in gaps])
-        ys = np.log([g for _, g in gaps])
-        decay = float(-np.polyfit(xs, ys, 1)[0])
-    return ConvergenceResult(reports=tuple(reports), decay_rate=decay)
+    return ConvergenceResult(reports=tuple(reports))

@@ -8,9 +8,11 @@ for nonnegative vertex weights z_u and edge weights y_uw covering every
 vertex (z_u + sum of incident y >= 1) at minimum cost
 sum z_u + (2 - eps) sum y_uw.
 
-Everything is solved with a dense two-phase simplex over Fraction entries
-and Bland's pivoting rule, so optima and certificates are exact rationals
-with no solver tolerances.
+The primal side is the closed-form witness.  The dual is solved once, by a
+dense two-phase simplex over Fraction entries with Bland's pivoting rule.
+Both points are checked feasible by substitution, and their values meet at
+the closed form, so weak duality proves both optimal: exact rationals, no
+solver tolerances, and no second solve.
 """
 
 from __future__ import annotations
@@ -26,25 +28,10 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 MAX_LP_VARIABLES = 40
-MAX_LP_ROWS = 140
 
 
 class DualityMismatchError(RuntimeError):
     """Primal, dual and closed-form values were expected to agree exactly."""
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    maximize: bool
-    objective: tuple               # Fraction per variable
-    rows: tuple                    # (coeffs tuple, sense "<=" or ">=", rhs)
-    var_names: tuple
-
-
-@dataclass(frozen=True)
-class LPSolution:
-    value: Fraction
-    assignment: dict               # var name -> Fraction
 
 
 @dataclass(frozen=True)
@@ -76,49 +63,20 @@ def _as_eps(eps) -> Fraction:
     return eps
 
 
-def primal_lp(g: Graph, eps) -> LinearProgram:
-    eps = _as_eps(eps)
-    v = g.n
-    rows = []
+def _covering_program(g: Graph, eps):
+    """The dual as max c.x subject to A x <= b, x >= 0: costs and covering
+    rows negated, b = -1.  Columns are z_1..z_v, then y in g.edges order."""
+    v, edges = g.n, g.edges
+    c = [-F1] * v + [-(2 - eps)] * len(edges)
+    A = []
     for u in range(v):
-        coeffs = [F0] * v
-        coeffs[u] = F1
-        rows.append((tuple(coeffs), "<=", F1))
-    for u, w in g.edges:
-        coeffs = [F0] * v
-        coeffs[u] = F1
-        coeffs[w] = F1
-        rows.append((tuple(coeffs), "<=", 2 - eps))
-    return LinearProgram(
-        maximize=True,
-        objective=tuple([F1] * v),
-        rows=tuple(rows),
-        var_names=tuple(f"x{u + 1}" for u in range(v)),
-    )
-
-
-def dual_lp(g: Graph, eps) -> LinearProgram:
-    eps = _as_eps(eps)
-    v = g.n
-    edges = g.edges
-    nvar = v + len(edges)
-    names = [f"z{u + 1}" for u in range(v)]
-    names += [f"y{u + 1}-{w + 1}" for u, w in edges]
-    obj = [F1] * v + [2 - eps] * len(edges)
-    rows = []
-    for u in range(v):
-        coeffs = [F0] * nvar
-        coeffs[u] = F1
+        row = [F0] * (v + len(edges))
+        row[u] = -F1
         for k, (a, b) in enumerate(edges):
             if u in (a, b):
-                coeffs[v + k] = F1
-        rows.append((tuple(coeffs), ">=", F1))
-    return LinearProgram(
-        maximize=False,
-        objective=tuple(obj),
-        rows=tuple(rows),
-        var_names=tuple(names),
-    )
+                row[v + k] = -F1
+        A.append(row)
+    return c, A, [-F1] * v
 
 
 # ---------------------------------------------------------------------------
@@ -228,34 +186,6 @@ def _simplex_max(c, A, b):
     return bottom[-1], x
 
 
-def solve_lp(lp: LinearProgram) -> LPSolution:
-    n = len(lp.objective)
-    if n > MAX_LP_VARIABLES or len(lp.rows) > MAX_LP_ROWS:
-        raise ValueError("LP exceeds the supported (small, dense) size")
-    c = list(lp.objective) if lp.maximize else [-x for x in lp.objective]
-    A, b = [], []
-    for coeffs, sense, rhs in lp.rows:
-        if sense == "<=":
-            A.append(list(coeffs))
-            b.append(rhs)
-        elif sense == ">=":
-            A.append([-x for x in coeffs])
-            b.append(-rhs)
-        else:
-            raise ValueError(f"unknown row sense {sense!r}")
-    value, x = _simplex_max(c, A, b)
-    if not lp.maximize:
-        value = -value
-    # re-verify feasibility by direct substitution
-    for coeffs, sense, rhs in lp.rows:
-        lhs = sum(a * xi for a, xi in zip(coeffs, x))
-        if sense == "<=" and lhs > rhs:
-            raise RuntimeError("simplex returned an infeasible point")
-        if sense == ">=" and lhs < rhs:
-            raise RuntimeError("simplex returned an infeasible point")
-    return LPSolution(value=value, assignment=dict(zip(lp.var_names, x)))
-
-
 # ---------------------------------------------------------------------------
 # closed form, witnesses and the duality report
 
@@ -276,22 +206,9 @@ def primal_optimum_formula(g: Graph, eps):
     return value, witness
 
 
-def _complementary_slackness(g, eps, x, y, z):
-    edges = g.edges
-    for u in range(g.n):
-        cover = z[u] + sum(yk for (a, b), yk in zip(edges, y) if u in (a, b))
-        if x[u] > 0 and cover != 1:
-            return False
-        if z[u] > 0 and x[u] != 1:
-            return False
-    for (a, b), yk in zip(edges, y):
-        if yk > 0 and x[a] + x[b] != 2 - eps:
-            return False
-    return True
-
-
 def duality_check(g: Graph, eps) -> DualityReport:
-    """Solve both programs and assert exact agreement with the closed form.
+    """Certify the closed form by weak duality: the witness x and the
+    simplex's covering (y, z) are feasible and share its value exactly.
 
     Restricted to eps in (0, 1]: beyond 1 the lower box bound binds before
     the closed form does (already on the 2-edge path the LP optimum drops
@@ -301,31 +218,37 @@ def duality_check(g: Graph, eps) -> DualityReport:
     if eps > 1:
         raise ValueError("duality_check requires eps <= 1; the closed form "
                          "does not equal the LP optimum beyond that")
-    primal = solve_lp(primal_lp(g, eps))
-    dual = solve_lp(dual_lp(g, eps))
+    if g.n + g.edge_count > MAX_LP_VARIABLES:
+        raise ValueError("LP exceeds the supported (small, dense) size")
     formula, witness_x = primal_optimum_formula(g, eps)
-    if not (primal.value == dual.value == formula):
-        raise DualityMismatchError(
-            f"primal {primal.value} / dual {dual.value} / formula {formula}")
-    # the formula witness must itself be feasible and optimal
-    wit = [witness_x[f"x{u + 1}"] for u in range(g.n)]
-    if any(not F0 <= xi <= F1 for xi in wit):
+    x = [witness_x[f"x{u + 1}"] for u in range(g.n)]
+    if any(not F0 <= xi <= F1 for xi in x):
         raise DualityMismatchError("formula witness leaves the unit box")
-    if any(wit[a] + wit[b] > 2 - eps for a, b in g.edges):
+    if any(x[a] + x[b] > 2 - eps for a, b in g.edges):
         raise DualityMismatchError("formula witness violates an edge row")
-    if sum(wit) != formula:
+    if sum(x) != formula:
         raise DualityMismatchError("formula witness misses the optimum")
-    x = [primal.assignment[f"x{u + 1}"] for u in range(g.n)]
-    z = [dual.assignment[f"z{u + 1}"] for u in range(g.n)]
-    y = [dual.assignment[f"y{a + 1}-{b + 1}"] for a, b in g.edges]
-    cs = _complementary_slackness(g, eps, x, y, z)
+    _, zy = _simplex_max(*_covering_program(g, eps))
+    z, y = zy[:g.n], zy[g.n:]
+    cover = list(z)
+    for (a, b), yk in zip(g.edges, y):
+        cover[a] += yk
+        cover[b] += yk
+    dual = sum(z) + (2 - eps) * sum(y)
+    if any(t < 0 for t in zy) or any(c < 1 for c in cover):
+        raise DualityMismatchError("simplex returned an infeasible cover")
+    if dual != formula:
+        raise DualityMismatchError(f"dual {dual} / formula {formula}")
+    cs = (all(x[u] == 0 or cover[u] == 1 for u in range(g.n))
+          and all(z[u] == 0 or x[u] == 1 for u in range(g.n))
+          and all(yk == 0 or x[a] + x[b] == 2 - eps for (a, b), yk in zip(g.edges, y)))
     yz = {
         "y": {f"{a + 1}-{b + 1}": yk for (a, b), yk in zip(g.edges, y)},
         "z": {f"{u + 1}": z[u] for u in range(g.n)},
     }
     return DualityReport(
-        primal=primal.value,
-        dual=dual.value,
+        primal=sum(x),
+        dual=dual,
         formula=formula,
         witness_x=witness_x,
         witness_yz=yz,

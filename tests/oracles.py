@@ -1,12 +1,18 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive (product scans, combinations
-filters, hardcoded limit polynomials) so that the library's routes can be
-checked against code that shares nothing with them.
+filters, hardcoded limit polynomials, a log-log fit, the full primal LP) so
+that the library's routes can be checked against code that shares nothing
+with them.
 """
 
 import itertools
 import math
+from fractions import Fraction
+
+import numpy as np
+
+from copymax.density import t_density
 
 
 def ref_independent_counts(g):
@@ -114,3 +120,22 @@ def ref_graph_classes(n):
             sum(1 << bit[tuple(sorted((p[u], p[v])))] for u, v in edges)
             for p in perms))
     return [tuple(sorted(level)) for level in levels]
+
+
+def ref_asymptotic_exponent(spec, q, beta_lo, beta_hi, points=24):
+    """Least-squares slope of log t against log beta on a geometric grid:
+    the numeric reference for the vanishing-density exponents the census
+    gives exactly (v/2 at q = 1, v - alpha* inside, v - alpha at q = 0)."""
+    betas = np.geomspace(beta_lo, beta_hi, points)
+    ts = [t_density(spec, float(b), q) for b in betas]
+    assert min(ts) > 0.0, "density underflowed to 0"
+    return float(np.polyfit(np.log(betas), np.log(ts), 1)[0])
+
+
+def ref_primal_program(g, eps):
+    """The primal LP as (c, A, b) for max c.x subject to A x <= b, x >= 0:
+    maximise sum x_u under x_u <= 1 and x_u + x_w <= 2 - eps on every edge."""
+    eps = Fraction(eps)
+    rows = [[Fraction(int(w == u)) for w in range(g.n)] for u in range(g.n)]
+    rows += [[Fraction(int(w in e)) for w in range(g.n)] for e in g.edges]
+    return [Fraction(1)] * g.n, rows, [Fraction(1)] * g.n + [2 - eps] * len(g.edges)

@@ -20,7 +20,6 @@ import numpy as np
 
 from copymax.classify import classify_type, search_counterexamples
 from copymax.density import (
-    asymptotic_exponent,
     clique_density,
     crossover_beta,
     star_density,
@@ -40,17 +39,19 @@ from copymax.graphs import (
 )
 from copymax.hosts import (
     automorphism_count,
-    build_host,
+    class_sizes,
     convergence_report,
     copies_count,
     hom_count,
     injective_count,
     injective_count_from_spectrum,
+    three_class_graph,
 )
 from copymax.lp import duality_check
 from copymax.weightings import fractional_independence_number, spectrum
 from oracles import (
     g6_interior_polynomial,
+    ref_asymptotic_exponent,
     ref_independent_partitions,
     ref_quotient,
 )
@@ -112,22 +113,25 @@ def test_criterion_06_known_flips():
 
 
 def test_criterion_07_vanishing_beta(g6_spec):
-    slopes = {q: asymptotic_exponent(g6_spec, q, 1e-6, 1e-4)
-              for q in (1.0, Q_HALF, 0.0)}
-    slope_ok = (abs(slopes[1.0] - 3.0) <= 0.05
-                and abs(slopes[Q_HALF] - 2.5) <= 0.05
-                and abs(slopes[0.0] - 3.0) <= 0.05)
+    # exponents read from the census: v/2 at q = 1, v - alpha* inside,
+    # v - alpha at q = 0; the log-log fit is the numeric check
+    v = g6_spec.v
+    exponents = {1.0: Fraction(v, 2), Q_HALF: v - g6_spec.alpha_star,
+                 0.0: Fraction(v - g6_spec.alpha)}
+    slopes = {q: ref_asymptotic_exponent(g6_spec, q, 1e-6, 1e-4) for q in exponents}
+    slope_ok = all(abs(slopes[q] - float(e)) <= 0.05 for q, e in exponents.items())
     beta = 1e-6
-    ratio_k = clique_density(g6_spec, beta) / beta ** 3
-    ratio_t = t_density(g6_spec, beta, Q_HALF) / beta ** 2.5
-    ratio_s = star_density(g6_spec, beta) / beta ** 3
+    ratio_k = clique_density(g6_spec, beta) / beta ** float(exponents[1.0])
+    ratio_t = t_density(g6_spec, beta, Q_HALF) / beta ** float(exponents[Q_HALF])
+    ratio_s = star_density(g6_spec, beta) / beta ** float(exponents[0.0])
     c1 = 1.0 / (8.0 * math.sqrt(2.0))
     ratio_ok = (abs(ratio_k - 1.0) <= 1e-6
                 and abs(ratio_t - c1) <= 1e-3
                 and abs(ratio_s - 0.375) <= 1e-3)
     _report(7, slope_ok and ratio_ok,
-            f"slopes q=1:{slopes[1.0]:.4f} q=1/sqrt2:{slopes[Q_HALF]:.4f} "
-            f"q=0:{slopes[0.0]:.4f}; ratios K:{ratio_k:.6f} T:{ratio_t:.6f} "
+            f"slopes q=1:{slopes[1.0]:.4f} ({exponents[1.0]}) "
+            f"q=1/sqrt2:{slopes[Q_HALF]:.4f} ({exponents[Q_HALF]}) "
+            f"q=0:{slopes[0.0]:.4f} ({exponents[0.0]}); ratios K:{ratio_k:.6f} T:{ratio_t:.6f} "
             f"(C1={c1:.6f}) S:{ratio_s:.6f} (C2=0.375)")
 
 
@@ -138,8 +142,9 @@ def test_criterion_08_oracle_identity(g6):
     for pat in patterns:
         spec = spectrum(pat)
         for beta, q, n in settings:
-            host = build_host(n, beta, q)
-            if injective_count(pat, host) != injective_count_from_spectrum(spec, host):
+            sizes = class_sizes(n, beta, q)
+            if (injective_count(pat, three_class_graph(*sizes))
+                    != injective_count_from_spectrum(spec, sizes)):
                 _report(8, False, f"mismatch for pattern v={pat.n} at {(beta, q, n)}")
             pairs += 1
     c7 = copies_count(path_graph(4), cycle_graph(7))
@@ -166,12 +171,12 @@ def test_criterion_09_convergence(g6):
     c_inf = sum(t_density(spec, beta, q) / t_f
                 for blocks, spec in quotients if blocks == g6.n - 1)
     identity_ok = all(
-        r.hom == sum(injective_count_from_spectrum(spec, build_host(r.n, beta, q))
+        r.hom == sum(injective_count_from_spectrum(spec, class_sizes(r.n, beta, q))
                      for _, spec in quotients)
         for r in result.reports)
     # the report counts by the census; backtracking on the built host is
     # the ground truth it must meet
-    host_of = {r.n: build_host(r.n, beta, q) for r in result.reports}
+    host_of = {r.n: three_class_graph(*class_sizes(r.n, beta, q)) for r in result.reports}
     search_ok = all(r.hom == hom_count(g6, host_of[r.n])
                     and r.injective == injective_count(g6, host_of[r.n])
                     for r in result.reports)
@@ -275,7 +280,7 @@ def test_criterion_13_property_suite(g6):
 
     # embedding counts divisible by the automorphism count
     divisible_ok = True
-    host = build_host(24, 0.4, 0.5)
+    host = three_class_graph(*class_sizes(24, 0.4, 0.5))
     for pat in (complete_graph(2), path_graph(2), path_graph(4), star_graph(3), g6):
         if injective_count(pat, host) % automorphism_count(pat):
             divisible_ok = False

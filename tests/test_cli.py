@@ -49,6 +49,19 @@ def test_analyze_g6_matches_reference():
     pytest.param("lp --builtin G6 --epsilon 1/10", "lp-builtin-G6-epsilon-1-10",
                  id="lp-G6"),
     pytest.param("lp --builtin K8 --epsilon 1", "lp-builtin-K8-epsilon-1", id="lp-K8"),
+    # every lp reference: the printed dual pins the simplex's pivot path
+    pytest.param("lp --builtin C9 --epsilon 1/5", "lp-builtin-C9-epsilon-1-5", id="lp-C9"),
+    pytest.param("lp --builtin C10 --epsilon 1/3", "lp-builtin-C10-epsilon-1-3",
+                 id="lp-C10"),
+    pytest.param("lp --builtin C16 --epsilon 1/10", "lp-builtin-C16-epsilon-1-10",
+                 id="lp-C16"),
+    pytest.param("lp --builtin P6 --epsilon 1/2", "lp-builtin-P6-epsilon-1-2", id="lp-P6"),
+    pytest.param("lp --builtin star6 --epsilon 1/4", "lp-builtin-star6-epsilon-1-4",
+                 id="lp-star6"),
+    pytest.param("lp --family 4,3 --epsilon 2/3", "lp-family-4-3-epsilon-2-3",
+                 id="lp-family-4-3"),
+    pytest.param("lp --family 5,4 --epsilon 1/7", "lp-family-5-4-epsilon-1-7",
+                 id="lp-family-5-4"),
 ])
 def test_sweep_g6_matches_reference(argv, reference):
     # outputs held to the benchmark's reference check
@@ -134,6 +147,12 @@ def test_lp_command():
     data = json.loads(cp.stdout)
     assert data["primal"] == data["dual"] == data["formula"] == "23/4"
     assert data["witness_x"]["x6"] == "1"
+
+
+def test_lp_refuses_oversized_program():
+    # K9 has 9 + 36 = 45 dual variables, past the 40 the dense simplex takes
+    cp = run_cli("lp", "--builtin", "K9", "--epsilon", "1", expect=2, timeout=30)
+    assert "LP exceeds the supported (small, dense) size" in cp.stderr
 
 
 def test_ex_command():

@@ -1,10 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from copymax.density import (
-    asymptotic_exponent,
     attribute_winner,
     best_t_density,
     class_fractions,
@@ -17,9 +17,14 @@ from copymax.density import (
     t_density,
     t_density_grid,
 )
-from copymax.graphs import complete_graph, enumerate_connected_graphs, path_graph
+from copymax.graphs import (
+    complete_graph,
+    cycle_graph,
+    enumerate_connected_graphs,
+    path_graph,
+)
 from copymax.weightings import spectrum
-from oracles import g6_interior_polynomial, g6_star_polynomial
+from oracles import g6_interior_polynomial, g6_star_polynomial, ref_asymptotic_exponent
 
 Q_HALF = 1.0 / math.sqrt(2.0)
 
@@ -225,21 +230,14 @@ def test_crossover_requires_sign_change(g6_spec):
 
 
 def test_exponents(g6_spec):
-    assert asymptotic_exponent(g6_spec, 1.0, 1e-6, 1e-4) == pytest.approx(3.0, abs=0.05)
-    assert asymptotic_exponent(g6_spec, Q_HALF, 1e-6, 1e-4) == pytest.approx(2.5, abs=0.05)
-    assert asymptotic_exponent(g6_spec, 0.0, 1e-6, 1e-4) == pytest.approx(3.0, abs=0.05)
-
-
-def test_exponent_underflow_reported(g6_spec):
-    with pytest.raises(ValueError, match="underflow"):
-        asymptotic_exponent(g6_spec, Q_HALF, 1e-300, 1e-250)
-
-
-def test_exponent_argument_checks(g6_spec):
-    with pytest.raises(ValueError):
-        asymptotic_exponent(g6_spec, 0.5, 1e-4, 1e-6)
-    with pytest.raises(ValueError):
-        asymptotic_exponent(g6_spec, 0.5, 1e-6, 1e-4, points=10)
+    # the census gives the vanishing-beta exponents exactly; the log-log
+    # fit is the numeric check of each
+    for spec in (g6_spec, spectrum(cycle_graph(5)), spectrum(path_graph(4))):
+        v = spec.v
+        for q, exponent in ((1.0, Fraction(v, 2)), (Q_HALF, v - spec.alpha_star),
+                            (0.0, Fraction(v - spec.alpha))):
+            assert ref_asymptotic_exponent(spec, q, 1e-6, 1e-4) == \
+                pytest.approx(float(exponent), abs=0.05)
 
 
 # ---------------------------------------------------------------------------

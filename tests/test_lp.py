@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from copymax import lp
 from copymax.graphs import (
     complete_graph,
     cycle_graph,
@@ -13,16 +16,14 @@ from copymax.graphs import (
     star_graph,
 )
 from copymax.lp import (
-    dual_lp,
     duality_check,
     epsilon_for_density,
-    primal_lp,
     primal_optimum_formula,
-    solve_lp,
     _simplex_max,
 )
 from copymax.weightings import fractional_independence_number, maximal_weighting
-from oracles import ref_weightings
+from oracles import ref_primal_program, ref_weightings
+from test_graphs import graphs_without_isolated_vertices
 
 
 def test_formula_values(g6):
@@ -39,20 +40,19 @@ def test_formula_values(g6):
 def test_primal_solve_matches_formula(g6):
     for g, eps in ((g6, Fraction(1, 10)), (complete_graph(3), Fraction(1, 2)),
                    (cycle_graph(5), Fraction(1, 3)), (path_graph(4), Fraction(1, 7))):
-        sol = solve_lp(primal_lp(g, eps))
-        assert sol.value == g.n - eps * (g.n - fractional_independence_number(g))
+        value, _ = _simplex_max(*ref_primal_program(g, eps))
+        assert value == g.n - eps * (g.n - fractional_independence_number(g))
 
 
 def test_primal_k3_half():
-    assert solve_lp(primal_lp(complete_graph(3), Fraction(1, 2))).value == Fraction(9, 4)
+    assert _simplex_max(*ref_primal_program(complete_graph(3), Fraction(1, 2)))[0] == Fraction(9, 4)
 
 
 def test_dual_k2():
-    sol = solve_lp(dual_lp(complete_graph(2), Fraction(1, 10)))
-    assert sol.value == Fraction(19, 10)
+    rep = duality_check(complete_graph(2), Fraction(1, 10))
+    assert rep.dual == Fraction(19, 10)
     # the optimum is attained with the single edge covering both vertices
-    assert sol.assignment["y1-2"] == 1
-    assert sol.assignment["z1"] == 0 and sol.assignment["z2"] == 0
+    assert rep.witness_yz == {"y": {"1-2": 1}, "z": {"1": 0, "2": 0}}
 
 
 def test_duality_check_values(g6):
@@ -84,9 +84,34 @@ def test_duality_check_rejects_large_eps(g6):
     # for the 2-edge path the box constraint x >= 0 binds first)
     with pytest.raises(ValueError):
         duality_check(g6, Fraction(3, 2))
-    sol = solve_lp(primal_lp(path_graph(2), Fraction(3, 2)))
+    value, _ = _simplex_max(*ref_primal_program(path_graph(2), Fraction(3, 2)))
     formula, _ = primal_optimum_formula(path_graph(2), Fraction(3, 2))
-    assert sol.value == 1 < formula
+    assert value == 1 < formula
+
+
+def test_duality_check_solves_once(g6, monkeypatch):
+    # the primal is the closed-form witness: only the covering program is solved
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _simplex_max(*args)
+    monkeypatch.setattr(lp, "_simplex_max", counted)
+    duality_check(g6, Fraction(1, 10))
+    assert len(calls) == 1
+
+
+@given(graphs_without_isolated_vertices(max_v=7),
+       st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda e: e > 0))
+@settings(max_examples=100, deadline=None)
+def test_certificate_on_random_graphs(g, eps):
+    rep = duality_check(g, eps)
+    y = {tuple(int(u) - 1 for u in k.split("-")): yk for k, yk in rep.witness_yz["y"].items()}
+    z = [rep.witness_yz["z"][f"{u + 1}"] for u in range(g.n)]
+    assert all(t >= 0 for t in [*y.values(), *z])
+    assert all(z[u] + sum(yk for e, yk in y.items() if u in e) >= 1 for u in range(g.n))
+    cost = sum(z) + (2 - eps) * sum(y.values())
+    assert cost == rep.formula == _simplex_max(*ref_primal_program(g, eps))[0]
 
 
 def test_strong_duality_all_small_graphs():
@@ -113,7 +138,9 @@ def test_witness_feasible_for_every_maximal_weighting():
 def test_eps_domain(g6):
     for eps in (0, 2, -1, Fraction(5, 2)):
         with pytest.raises(ValueError):
-            primal_lp(g6, eps)
+            primal_optimum_formula(g6, eps)
+        with pytest.raises(ValueError):
+            duality_check(g6, eps)
 
 
 def test_simplex_against_scipy():
