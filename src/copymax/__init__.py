@@ -9,13 +9,11 @@ on explicit finite graphs.
 
 from .graphs import (
     Graph,
-    are_isomorphic,
     builtin_graph,
     canonical_form,
     clique_with_pendant_star,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     enumerate_connected_graphs,
     is_connected,

@@ -194,7 +194,8 @@ def _predicted_start(spec):
 
 def sweep_connected_graphs(max_v: int):
     """Classify every connected graph on 2..max_v vertices, checking that
-    each numeric pattern starts with the exponent prediction."""
+    each numeric pattern starts with the exponent prediction and is K
+    throughout when alpha* = v/2."""
     if max_v > 5:
         raise ValueError("the full numeric sweep is limited to 5 vertices")
     rows = []
@@ -202,7 +203,11 @@ def sweep_connected_graphs(max_v: int):
         spec = spectrum(g)
         cls = _classify(g, spec, 1e-6)      # classify_type's default tol
         predicted = _predicted_start(spec)
-        # the only pattern that starts with K is K itself
+        # alpha* = v/2 bounds t by beta^(v/2) on every host (Friedgut-Kahn),
+        # so the whole pattern must be K, not only its start
+        if predicted == "K" and cls.pattern != "K":
+            raise RuntimeError(f"{cls.graph_id}: alpha* = v/2 forces K at every beta, "
+                               f"got {cls.pattern}")
         if not cls.pattern.startswith(predicted):
             raise RuntimeError(f"{cls.graph_id}: expected {predicted} start, got {cls.pattern}")
         rows.append(SweepRow(

@@ -16,6 +16,13 @@ r and b are evaluated through the conjugate forms x/(1 + sqrt(1-x)) and
 (1-beta)/(sqrt(1-x) + sqrt(beta) q): the naive expressions lose ~5 decimal
 digits to cancellation at small beta, which is fatal for the 1e-12-relative
 endpoint comparisons below.
+
+The supremum over q is a grid scan plus golden-section refinement at every
+local grid maximum, except on flat profiles (the grid within REL_TOL of
+its maximum: beta = 1 for every graph, every beta for K2), where every q
+attains it and no refinement runs.  There f_T is the grid maximum, which
+may differ by a few ulps from what refinement would have reported; no
+printed output changes.
 """
 
 from __future__ import annotations
@@ -79,24 +86,38 @@ def _check_range(beta, q):
         raise ValueError(f"q must lie in [0, 1], got {q}")
 
 
-def class_fractions(beta: float, q: float) -> ClassFractions:
-    _check_range(beta, q)
+def _fractions(beta, q):
+    """(y, r, b) at one (beta, q) already checked to lie in range."""
     x = beta * (1.0 - q * q)
     s = math.sqrt(1.0 - x)
     y = math.sqrt(beta) * q
     r = x / (1.0 + s)
     b = (1.0 - beta) / (s + y) if (s + y) > 0.0 else 0.0
-    return ClassFractions(beta, q, y, r, b)
+    return y, r, b
+
+
+def class_fractions(beta: float, q: float) -> ClassFractions:
+    _check_range(beta, q)
+    return ClassFractions(beta, q, *_fractions(beta, q))
 
 
 def t_density(spec, beta: float, q: float) -> float:
-    """Census sum for one (beta, q), each term evaluated in log space."""
-    fr = class_fractions(beta, q)
-    ly = math.log(fr.y) if fr.y > 0.0 else None
-    lr = math.log(fr.r) if fr.r > 0.0 else None
-    lb = math.log(fr.b) if fr.b > 0.0 else None
+    """Census sum for one (beta, q), each term evaluated in log space and
+    added in entry order."""
+    _check_range(beta, q)
+    y, r, b = _fractions(beta, q)
+    terms = spec.density_terms
     total = 0.0
-    for (rc, yc, bc), mult in spec.entries:
+    if y > 0.0 and r > 0.0 and b > 0.0:
+        # a zero count adds +-0.0 to the exponent: the same bits as skipping it
+        ly, lr, lb = math.log(y), math.log(r), math.log(b)
+        for yc, rc, bc, mult in terms:
+            total += mult * math.exp(yc * ly + rc * lr + bc * lb)
+        return total
+    ly = math.log(y) if y > 0.0 else None
+    lr = math.log(r) if r > 0.0 else None
+    lb = math.log(b) if b > 0.0 else None
+    for yc, rc, bc, mult in terms:
         s = 0.0
         if yc:
             if ly is None:
@@ -115,7 +136,10 @@ def t_density(spec, beta: float, q: float) -> float:
 
 
 def t_density_grid(spec, beta: float, qs) -> np.ndarray:
-    """t(beta, q) over an array of q values in one vectorised pass."""
+    """t(beta, q) over a 1-D array of q values in one (entry x q) pass: the
+    masked count * log columns added in (y, r, b) order, one exp, then the
+    rows summed in entry order.  The sum is a running sum because np.sum may
+    add rows pairwise, which changes the last bits for short q arrays."""
     qs = np.asarray(qs, dtype=float)
     if qs.size and (qs.min() < 0.0 or qs.max() > 1.0):
         raise ValueError("q grid must lie in [0, 1]")
@@ -126,19 +150,15 @@ def t_density_grid(spec, beta: float, qs) -> np.ndarray:
     r = x / (1.0 + s)
     denom = s + y
     b = np.divide(1.0 - beta, denom, out=np.zeros_like(qs), where=denom > 0.0)
-    with np.errstate(divide="ignore"):
-        logs = (np.log(y), np.log(r), np.log(b))
-    vals = (y, r, b)
-    total = np.zeros_like(qs)
-    for (rc, yc, bc), mult in spec.entries:
-        acc = np.zeros_like(qs)
-        alive = np.ones(qs.shape, dtype=bool)
-        for count, val, lg in zip((yc, rc, bc), vals, logs):
-            if count:
-                alive &= val > 0.0
-                acc = acc + count * lg
-        total += mult * np.where(alive, np.exp(np.where(alive, acc, 0.0)), 0.0)
-    return total
+    terms = np.array(spec.density_terms, dtype=float).reshape(-1, 4)
+    acc = np.zeros((len(terms), qs.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log 0 = -inf, so a term with a positive count on an empty class
+        # is exp(-inf) = 0; a zero count is masked, never 0 * -inf
+        for col, val in enumerate((y, r, b)):
+            counts = terms[:, col:col + 1]
+            acc += np.where(counts != 0.0, counts * np.log(val), 0.0)
+    return np.cumsum(terms[:, 3:] * np.exp(acc), axis=0)[-1]
 
 
 def clique_density(spec, beta: float) -> float:
@@ -177,9 +197,18 @@ def best_t_density(spec, beta: float) -> ProfilePoint:
     grid maximum; t(q) may be multimodal.  The reported q_star is the
     smallest q whose value is within REL_TOL (relative) of the best; a tie
     is flagged when a well-separated q attains the same value.
+
+    Flat rule: when the whole grid lies within REL_TOL of its maximum
+    (t = 1 at beta = 1 for every graph, t = beta for K2), every q attains
+    the sup, so the result is (grid max, 0, tie) with no refinement.  The
+    refinement would only have chased float noise, so on flat profiles the
+    value may differ from it by a few ulps; nothing printed changes.
     """
     qs = np.linspace(0.0, 1.0, Q_GRID + 1)
     ts = t_density_grid(spec, beta, qs)
+    top = float(ts.max())
+    if ts.min() >= top * (1.0 - REL_TOL):
+        return ProfilePoint(top, 0.0, True)
     f = lambda q: t_density(spec, beta, q)
     candidates = [(0.0, float(ts[0])), (1.0, float(ts[-1]))]
     for i in range(Q_GRID + 1):

@@ -228,11 +228,6 @@ def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
-    return Graph(a.n + b.n, edges)
-
-
 def clique_with_pendant_star(a: int, b: int) -> Graph:
     """Clique K_a, a bridge vertex tied to one clique vertex, and b leaves
     hanging off the bridge.
@@ -343,12 +338,6 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
                 edges.append((i, j))
             k += 1
     return Graph(n, edges)
-
-
-def are_isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.edge_count != b.edge_count:
-        return False
-    return canonical_form(a) == canonical_form(b)
 
 
 @lru_cache(maxsize=None)

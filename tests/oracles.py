@@ -1,9 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive (product scans, combinations
-filters, hardcoded limit polynomials, a log-log fit, the full primal LP) so
-that the library's routes can be checked against code that shares nothing
-with them.
+filters, permutation scans, hardcoded limit polynomials, per-entry density
+loops, a log-log fit, the full primal LP) so that the library's routes can
+be checked against code that shares nothing with them.
 """
 
 import itertools
@@ -12,7 +12,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from copymax.density import t_density
+from copymax.density import (
+    Q_GRID,
+    REFINE_TOL,
+    REL_TOL,
+    ProfilePoint,
+    _golden_max,
+    class_fractions,
+)
+from copymax.graphs import Graph
 
 
 def ref_independent_counts(g):
@@ -127,7 +135,7 @@ def ref_asymptotic_exponent(spec, q, beta_lo, beta_hi, points=24):
     the numeric reference for the vanishing-density exponents the census
     gives exactly (v/2 at q = 1, v - alpha* inside, v - alpha at q = 0)."""
     betas = np.geomspace(beta_lo, beta_hi, points)
-    ts = [t_density(spec, float(b), q) for b in betas]
+    ts = [ref_t_density(spec, float(b), q) for b in betas]
     assert min(ts) > 0.0, "density underflowed to 0"
     return float(np.polyfit(np.log(betas), np.log(ts), 1)[0])
 
@@ -139,3 +147,93 @@ def ref_primal_program(g, eps):
     rows = [[Fraction(int(w == u)) for w in range(g.n)] for u in range(g.n)]
     rows += [[Fraction(int(w in e)) for w in range(g.n)] for e in g.edges]
     return [Fraction(1)] * g.n, rows, [Fraction(1)] * g.n + [2 - eps] * len(g.edges)
+
+
+def disjoint_union(a, b):
+    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+    return Graph(a.n + b.n, edges)
+
+
+def are_isomorphic(a, b):
+    """Some permutation maps a's edge set onto b's (itertools scan)."""
+    if a.n != b.n or a.edge_count != b.edge_count:
+        return False
+    target = set(b.edges)
+    return any({tuple(sorted((p[u], p[v]))) for u, v in a.edges} == target
+               for p in itertools.permutations(range(a.n)))
+
+
+# the density evaluators as they were written before the vectorised grid
+# pass, the hoisted scalar sum and the flat-profile rule: one census entry
+# at a time, in (r, y, b) entry order
+
+def ref_t_density(spec, beta, q):
+    """Census sum for one (beta, q), term by term in log space."""
+    fr = class_fractions(beta, q)
+    ly = math.log(fr.y) if fr.y > 0.0 else None
+    lr = math.log(fr.r) if fr.r > 0.0 else None
+    lb = math.log(fr.b) if fr.b > 0.0 else None
+    total = 0.0
+    for (rc, yc, bc), mult in spec.entries:
+        s = 0.0
+        if yc:
+            if ly is None:
+                continue
+            s += yc * ly
+        if rc:
+            if lr is None:
+                continue
+            s += rc * lr
+        if bc:
+            if lb is None:
+                continue
+            s += bc * lb
+        total += mult * math.exp(s)
+    return total
+
+
+def ref_t_density_grid(spec, beta, qs):
+    """t(beta, q) over a 1-D q array, one census entry per numpy pass."""
+    qs = np.asarray(qs, dtype=float)
+    x = beta * (1.0 - qs * qs)
+    s = np.sqrt(1.0 - x)
+    y = math.sqrt(beta) * qs
+    r = x / (1.0 + s)
+    denom = s + y
+    b = np.divide(1.0 - beta, denom, out=np.zeros_like(qs), where=denom > 0.0)
+    with np.errstate(divide="ignore"):
+        logs = (np.log(y), np.log(r), np.log(b))
+    vals = (y, r, b)
+    total = np.zeros_like(qs)
+    for (rc, yc, bc), mult in spec.entries:
+        acc = np.zeros_like(qs)
+        alive = np.ones(qs.shape, dtype=bool)
+        for count, val, lg in zip((yc, rc, bc), vals, logs):
+            if count:
+                alive &= val > 0.0
+                acc = acc + count * lg
+        total += mult * np.where(alive, np.exp(np.where(alive, acc, 0.0)), 0.0)
+    return total
+
+
+def ref_best_t_density(spec, beta):
+    """Grid scan, then golden-section refinement around every local grid
+    maximum, flat profiles included."""
+    qs = np.linspace(0.0, 1.0, Q_GRID + 1)
+    ts = ref_t_density_grid(spec, beta, qs)
+    f = lambda q: ref_t_density(spec, beta, q)
+    candidates = [(0.0, float(ts[0])), (1.0, float(ts[-1]))]
+    for i in range(Q_GRID + 1):
+        left = ts[i - 1] if i > 0 else -math.inf
+        right = ts[i + 1] if i < Q_GRID else -math.inf
+        if ts[i] >= left and ts[i] >= right:
+            candidates.append((float(qs[i]), float(ts[i])))
+            qq, tt = _golden_max(f, float(qs[max(i - 1, 0)]),
+                                 float(qs[min(i + 1, Q_GRID)]), REFINE_TOL)
+            candidates.append((float(qq), float(tt)))
+    best = max(t for _, t in candidates)
+    threshold = best * (1.0 - REL_TOL) if best > 0.0 else 0.0
+    attaining = sorted(q for q, t in candidates if t >= threshold)
+    q_star = attaining[0]
+    tie = any(q - q_star > 1e-6 for q in attaining)
+    return ProfilePoint(best, q_star, tie)

@@ -27,7 +27,6 @@ from copymax.density import (
 )
 from copymax.graphs import (
     Graph,
-    are_isomorphic,
     complete_graph,
     cycle_graph,
     enumerate_connected_graphs,
@@ -50,6 +49,7 @@ from copymax.hosts import (
 from copymax.lp import duality_check
 from copymax.weightings import fractional_independence_number, spectrum
 from oracles import (
+    are_isomorphic,
     g6_interior_polynomial,
     ref_asymptotic_exponent,
     ref_independent_partitions,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from copymax.classify import (
     three_class_host_probe,
 )
 from copymax.graphs import (
-    are_isomorphic,
     clique_with_pendant_star,
     complete_graph,
     enumerate_connected_graphs,
@@ -27,7 +27,7 @@ from copymax.graphs import (
     write_graph6,
 )
 from copymax.weightings import spectrum
-from oracles import ref_independent_counts
+from oracles import are_isomorphic, ref_independent_counts
 
 
 def test_default_grid_shape():
@@ -193,6 +193,20 @@ def test_start_rule_when_alpha_and_alpha_star_exceed_half(g):
     assert (g.n, spec.alpha, spec.alpha_star) == (7, 4, Fraction(9, 2))
     assert _predicted_start(spec) == "T"
     assert classify_type(g).pattern == "TK"
+
+
+def test_sweep_requires_whole_k_pattern(monkeypatch):
+    # alpha* = v/2 (K3 among the 3-vertex graphs) forces K at every beta,
+    # so any other pattern for it is an internal error
+    real = classify._classify
+
+    def broken(g, spec, tol):
+        cls = real(g, spec, tol)
+        return dataclasses.replace(cls, pattern="SK") if g.n == 3 else cls
+
+    monkeypatch.setattr(classify, "_classify", broken)
+    with pytest.raises(RuntimeError, match="forces K at every beta"):
+        sweep_connected_graphs(3)
 
 
 def test_sweep_cap():

@@ -3,8 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from copymax import density
 from copymax.density import (
+    Q_GRID,
+    REL_TOL,
     attribute_winner,
     best_t_density,
     class_fractions,
@@ -18,13 +23,24 @@ from copymax.density import (
     t_density_grid,
 )
 from copymax.graphs import (
+    Graph,
+    builtin_graph,
+    clique_with_pendant_star,
     complete_graph,
     cycle_graph,
     enumerate_connected_graphs,
     path_graph,
+    write_graph6,
 )
 from copymax.weightings import spectrum
-from oracles import g6_interior_polynomial, g6_star_polynomial, ref_asymptotic_exponent
+from oracles import (
+    g6_interior_polynomial,
+    g6_star_polynomial,
+    ref_asymptotic_exponent,
+    ref_best_t_density,
+    ref_t_density,
+    ref_t_density_grid,
+)
 
 Q_HALF = 1.0 / math.sqrt(2.0)
 
@@ -120,6 +136,97 @@ def test_density_grid_matches_scalar(g6_spec):
     grid = t_density_grid(g6_spec, 0.037, qs)
     for q, t in zip(qs, grid):
         assert t == pytest.approx(t_density(g6_spec, 0.037, float(q)), rel=1e-12)
+
+
+@st.composite
+def connected_graphs(draw, max_v=6):
+    """A random spanning tree (each vertex tied to an earlier one) plus any
+    subset of the remaining pairs."""
+    n = draw(st.integers(min_value=2, max_value=max_v))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for v in range(n) for u in range(v) if (u, v) not in edges]
+    if pairs:
+        edges.update(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    return Graph(n, sorted(edges))
+
+
+unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+def _flat(spec, beta):
+    ts = ref_t_density_grid(spec, beta, np.linspace(0.0, 1.0, Q_GRID + 1))
+    return ts.min() >= ts.max() * (1.0 - REL_TOL)
+
+
+@given(connected_graphs(), unit, st.lists(unit, min_size=1, max_size=9))
+@settings(max_examples=80, deadline=None)
+def test_evaluators_match_reference(g, beta, qs):
+    spec = spectrum(g)
+    for q in qs:
+        assert t_density(spec, beta, q) == ref_t_density(spec, beta, q)
+    for grid in (qs, np.linspace(0.0, 1.0, Q_GRID + 1)):
+        assert np.array_equal(t_density_grid(spec, beta, grid),
+                              ref_t_density_grid(spec, beta, grid))
+    prof, ref = best_t_density(spec, beta), ref_best_t_density(spec, beta)
+    if _flat(spec, beta):
+        assert (prof.q_star, prof.tie) == (ref.q_star, ref.tie)
+        assert prof.value == pytest.approx(ref.value, rel=REL_TOL, abs=0.0)
+    else:
+        assert prof == ref
+
+
+def test_density_grid_bits_on_short_arrays():
+    # a pairwise row sum would move the last bits once a census has 8 or
+    # more entries and the q array is short
+    rng = np.random.default_rng(11)
+    for g in (builtin_graph("C7"), builtin_graph("C8"), clique_with_pendant_star(4, 2)):
+        spec = spectrum(g)
+        assert len(spec.entries) >= 8
+        for size in range(1, 10):
+            for _ in range(10):
+                beta, qs = float(rng.uniform()), rng.uniform(size=size)
+                assert np.array_equal(t_density_grid(spec, beta, qs),
+                                      ref_t_density_grid(spec, beta, qs))
+
+
+def test_flat_profiles_skip_refinement(monkeypatch):
+    calls = []
+    counted = density.t_density
+
+    def counting(*args):
+        calls.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(density, "t_density", counting)
+    k2, g6 = spectrum(complete_graph(2)), spectrum(builtin_graph("G6"))
+    # t = beta on every host for K2, and t = 1 at beta = 1 for every graph
+    for spec, beta in ((k2, 0.3), (k2, 1e-5), (g6, 1.0)):
+        assert _flat(spec, beta)
+        prof = best_t_density(spec, beta)
+        assert (prof.q_star, prof.tie) == (0.0, True)
+        assert prof.value == pytest.approx(ref_best_t_density(spec, beta).value,
+                                           rel=REL_TOL, abs=0.0)
+    assert calls == []
+    # refinement still goes through density.t_density, so a tracer counts it
+    assert not _flat(g6, 0.3)
+    assert best_t_density(g6, 0.3) == ref_best_t_density(g6, 0.3)
+    assert calls
+
+
+def test_flat_rule_only_on_k2_and_beta_one():
+    graphs = [*enumerate_connected_graphs(5), builtin_graph("G6"), builtin_graph("C7")]
+    betas = [1e-5, 0.01, 0.3, 0.9, 1.0]
+    flat = {(write_graph6(g), beta) for g in graphs for beta in betas
+            if _flat(spectrum(g), beta)}
+    k2 = write_graph6(complete_graph(2))
+    assert flat == {(write_graph6(g), 1.0) for g in graphs} | {(k2, b) for b in betas}
+
+
+def test_density_terms_built_once(g6_spec):
+    terms = g6_spec.density_terms
+    assert g6_spec.density_terms is terms
+    assert len(terms) == len(g6_spec.entries)
+    assert all(isinstance(t[3], float) for t in terms)
 
 
 def test_density_monotone_in_beta(g6_spec):

@@ -11,13 +11,11 @@ from copymax.graphs import (
     MAX_ENUMERATION,
     Graph,
     _graph_classes,
-    are_isomorphic,
     builtin_graph,
     canonical_form,
     clique_with_pendant_star,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     enumerate_connected_graphs,
     graph_from_edge_mask,
@@ -30,7 +28,13 @@ from copymax.graphs import (
 )
 from copymax.hosts import automorphism_count
 from copymax.weightings import spectrum
-from oracles import ref_automorphism_count, ref_graph_classes, ref_independent_counts
+from oracles import (
+    are_isomorphic,
+    disjoint_union,
+    ref_automorphism_count,
+    ref_graph_classes,
+    ref_independent_counts,
+)
 
 
 def random_graph(rng, n, p=0.5):
