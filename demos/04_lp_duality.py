@@ -28,7 +28,6 @@ for g, name in ((builtin_graph("G6"), "G6"), (cycle_graph(5), "C5"),
     print(f"  primal optimum  {rep.primal}")
     print(f"  dual optimum    {rep.dual}")
     print(f"  v - eps(v - a*) {rep.formula}")
-    print(f"  complementary slackness holds: {rep.complementary_slackness_ok}")
     print(f"  witness x: {[str(v) for v in rep.witness_x.values()]}")
 
 print("exhaustive check over every connected graph on up to 5 vertices:")

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .density import curve_sample, density_curve
 from .graphs import (
     MAX_ENUMERATION,
@@ -96,6 +94,8 @@ class SweepRow:
 def default_beta_grid():
     """Geometric 1e-5..0.1 (40 points) then linear 0.1..1 (90 points):
     resolves both the vanishing-density regime and the K tail."""
+    import numpy as np
+
     grid = np.concatenate([np.geomspace(1e-5, 0.1, 40), np.linspace(0.1, 1.0, 90)])
     return [float(b) for b in np.unique(grid)]
 

@@ -14,8 +14,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import classify as cls
 from . import density, hosts, lp, weightings
 from .graphs import (
@@ -47,6 +45,8 @@ def _parse_beta_range(text):
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     if steps < 2 or not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"bad beta range {text!r}")
+    import numpy as np
+
     return [float(b) for b in np.linspace(lo, hi, steps)]
 
 

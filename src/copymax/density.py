@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 REL_TOL = 1e-12        # relative tolerance for "attains the supremum"
 Q_GRID = 128           # q grid intervals scanned before refinement
@@ -135,11 +134,13 @@ def t_density(spec, beta: float, q: float) -> float:
     return total
 
 
-def t_density_grid(spec, beta: float, qs) -> np.ndarray:
+def t_density_grid(spec, beta: float, qs):
     """t(beta, q) over a 1-D array of q values in one (entry x q) pass: the
     masked count * log columns added in (y, r, b) order, one exp, then the
     rows summed in entry order.  The sum is a running sum because np.sum may
     add rows pairwise, which changes the last bits for short q arrays."""
+    import numpy as np
+
     qs = np.asarray(qs, dtype=float)
     if qs.size and (qs.min() < 0.0 or qs.max() > 1.0):
         raise ValueError("q grid must lie in [0, 1]")
@@ -150,7 +151,7 @@ def t_density_grid(spec, beta: float, qs) -> np.ndarray:
     r = x / (1.0 + s)
     denom = s + y
     b = np.divide(1.0 - beta, denom, out=np.zeros_like(qs), where=denom > 0.0)
-    terms = np.array(spec.density_terms, dtype=float).reshape(-1, 4)
+    terms = spec.density_matrix
     acc = np.zeros((len(terms), qs.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         # log 0 = -inf, so a term with a positive count on an empty class
@@ -190,6 +191,17 @@ def _golden_max(f, lo, hi, tol):
     return (c, fc) if fc >= fd else (d, fd)
 
 
+@lru_cache(maxsize=None)
+def _q_grid():
+    """The Q_GRID + 1 scan points on [0, 1], as a read-only array and as
+    floats; built on first use."""
+    import numpy as np
+
+    qs = np.linspace(0.0, 1.0, Q_GRID + 1)
+    qs.flags.writeable = False
+    return qs, tuple(qs.tolist())
+
+
 def best_t_density(spec, beta: float) -> ProfilePoint:
     """Supremum of t(beta, q) over q in [0, 1].
 
@@ -204,21 +216,21 @@ def best_t_density(spec, beta: float) -> ProfilePoint:
     refinement would only have chased float noise, so on flat profiles the
     value may differ from it by a few ulps; nothing printed changes.
     """
-    qs = np.linspace(0.0, 1.0, Q_GRID + 1)
+    qs, qf = _q_grid()
     ts = t_density_grid(spec, beta, qs)
     top = float(ts.max())
     if ts.min() >= top * (1.0 - REL_TOL):
         return ProfilePoint(top, 0.0, True)
     f = lambda q: t_density(spec, beta, q)
-    candidates = [(0.0, float(ts[0])), (1.0, float(ts[-1]))]
+    ts = ts.tolist()
+    candidates = [(0.0, ts[0]), (1.0, ts[-1])]
     for i in range(Q_GRID + 1):
         left = ts[i - 1] if i > 0 else -math.inf
         right = ts[i + 1] if i < Q_GRID else -math.inf
         if ts[i] >= left and ts[i] >= right:
-            candidates.append((float(qs[i]), float(ts[i])))
-            qq, tt = _golden_max(f, float(qs[max(i - 1, 0)]), float(qs[min(i + 1, Q_GRID)]),
-                                 REFINE_TOL)
-            candidates.append((float(qq), float(tt)))
+            candidates.append((qf[i], ts[i]))
+            candidates.append(_golden_max(f, qf[max(i - 1, 0)], qf[min(i + 1, Q_GRID)],
+                                          REFINE_TOL))
     best = max(t for _, t in candidates)
     threshold = best * (1.0 - REL_TOL) if best > 0.0 else 0.0
     attaining = sorted(q for q, t in candidates if t >= threshold)
@@ -260,6 +272,8 @@ def density_curve(spec, betas) -> DensityCurve:
 def crossover_bracket(spec, q1: float, q2: float):
     """First sign change of t(., q1) - t(., q2) on a 400-point geometric
     grid over [1e-6, 1], as a bracket for crossover_beta."""
+    import numpy as np
+
     grid = np.geomspace(1e-6, 1.0, 400)
     f = lambda b: t_density(spec, b, q1) - t_density(spec, b, q2)
     prev_b, prev_f = None, None

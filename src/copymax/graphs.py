@@ -17,8 +17,6 @@ import itertools
 import re
 from functools import lru_cache
 
-import numpy as np
-
 MAX_ENUMERATION = 8       # canonical forms and graph classes on <= 8 vertices
 
 
@@ -301,6 +299,8 @@ def is_connected(g: Graph) -> bool:
 def _pair_images(n):
     """(C(n,2), n!) int32 table: row k is 1 << (image of pair bit k) under
     each permutation, in itertools.permutations order."""
+    import numpy as np
+
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
                         dtype=np.int8).reshape(-1, n)
     pairs = [(i, j) for j in range(n) for i in range(j)]      # bit k <-> pairs[k]
@@ -315,6 +315,8 @@ def _pair_images(n):
 
 def _images(table, bits):
     """Edge masks of one graph under every permutation, from its pair bits."""
+    import numpy as np
+
     images = np.zeros(table.shape[1], dtype=np.int32)
     for k in bits:
         images |= table[k]
@@ -346,6 +348,8 @@ def _graph_classes(n):
     edge count (built level by level: every class with k+1 edges arises from
     one with k edges by adding a single edge).  Each class's images are
     formed once; adding free pair k to all of them is one OR with row k."""
+    import numpy as np
+
     table = _pair_images(n)
     buf = np.empty(table.shape[1], dtype=np.int32)
     levels = [(0,)]

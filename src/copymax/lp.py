@@ -41,7 +41,6 @@ class DualityReport:
     formula: Fraction
     witness_x: dict
     witness_yz: dict
-    complementary_slackness_ok: bool
 
     def to_json_dict(self):
         return {
@@ -239,9 +238,6 @@ def duality_check(g: Graph, eps) -> DualityReport:
         raise DualityMismatchError("simplex returned an infeasible cover")
     if dual != formula:
         raise DualityMismatchError(f"dual {dual} / formula {formula}")
-    cs = (all(x[u] == 0 or cover[u] == 1 for u in range(g.n))
-          and all(z[u] == 0 or x[u] == 1 for u in range(g.n))
-          and all(yk == 0 or x[a] + x[b] == 2 - eps for (a, b), yk in zip(g.edges, y)))
     yz = {
         "y": {f"{a + 1}-{b + 1}": yk for (a, b), yk in zip(g.edges, y)},
         "z": {f"{u + 1}": z[u] for u in range(g.n)},
@@ -252,7 +248,6 @@ def duality_check(g: Graph, eps) -> DualityReport:
         formula=formula,
         witness_x=witness_x,
         witness_yz=yz,
-        complementary_slackness_ok=cs,
     )
 
 

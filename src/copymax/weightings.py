@@ -48,6 +48,16 @@ class WeightingSpectrum:
         density evaluators read; built once per census."""
         return tuple((y, r, b, float(m)) for (r, y, b), m in self.entries)
 
+    @cached_property
+    def density_matrix(self):
+        """density_terms as a read-only (entries x 4) float array, the grid
+        evaluator's input; built on first use, so numpy loads only there."""
+        import numpy as np
+
+        terms = np.array(self.density_terms, dtype=float).reshape(-1, 4)
+        terms.flags.writeable = False
+        return terms
+
     @property
     def total_weightings(self):
         return sum(m for _, m in self.entries)

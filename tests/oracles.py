@@ -42,6 +42,17 @@ def ref_weightings(g):
     return out
 
 
+def ref_interior_limit_constant(census, q):
+    """C(q) = sum of mult * q^y * ((1 - q^2)/2)^r over the census entries
+    ((r, y, b), mult) of maximum total weight y/2 + b = alpha*, exactly in
+    Fractions at a rational q."""
+    census = list(census)
+    q = Fraction(q)
+    best = max(y + 2 * b for (_, y, b), _ in census)
+    return sum(mult * q ** y * ((1 - q * q) / 2) ** r
+               for (r, y, b), mult in census if y + 2 * b == best)
+
+
 def ref_hom_count(g, host, injective=False):
     """Exhaustive scan over all vertex maps."""
     total = 0

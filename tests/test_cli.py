@@ -234,3 +234,30 @@ def test_oracle_defaults(capsys):
     assert main(["oracle", "--builtin", "P2", "--beta", "0.2", "--q", "1/sqrt2",
                  "--n-list", "30,60"]) == 0
     assert capsys.readouterr().out == default
+
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import copymax.cli as cli
+loaded = {"import": "numpy" in sys.modules}
+for argv in (["oracle", "--builtin", "G6", "--beta", "0.2", "--q", "1/sqrt2",
+              "--n-list", "30,60,90"],
+             ["lp", "--builtin", "C16", "--epsilon", "1/10"],
+             ["analyze", "--builtin", "G6"],
+             ["profile", "--builtin", "G6"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded[argv[0]] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_exact_commands_never_load_numpy():
+    # a fresh interpreter: this test process has loaded numpy already.
+    # profile runs last and must load it, so the probe cannot pass vacuously.
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    cp = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True,
+                        text=True, env={**os.environ, "PYTHONPATH": path})
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout) == {"import": False, "oracle": False, "lp": False,
+                                     "analyze": False, "profile": True}

@@ -227,6 +227,9 @@ def test_density_terms_built_once(g6_spec):
     assert g6_spec.density_terms is terms
     assert len(terms) == len(g6_spec.entries)
     assert all(isinstance(t[3], float) for t in terms)
+    matrix = g6_spec.density_matrix
+    assert g6_spec.density_matrix is matrix and not matrix.flags.writeable
+    assert matrix.tolist() == [list(t) for t in terms]
 
 
 def test_density_monotone_in_beta(g6_spec):

@@ -13,6 +13,7 @@ from copymax.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    enumerate_connected_graphs,
     parse_edge_list,
     star_graph,
 )
@@ -22,7 +23,7 @@ from copymax.weightings import (
     spectrum,
     _census,
 )
-from oracles import ref_independent_counts, ref_weightings
+from oracles import ref_independent_counts, ref_interior_limit_constant, ref_weightings
 
 
 def random_graph(rng, n, p=0.5):
@@ -171,6 +172,17 @@ def test_interior_limit_constant_values(g6_spec):
     assert got == pytest.approx(1.0 / (8.0 * math.sqrt(2.0)), rel=1e-12)
     k2 = spectrum(complete_graph(2))
     assert k2.interior_limit_constant(0.5) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)])
+def test_interior_limit_constant_matches_census(q):
+    # C(q) recomputed from a naive product-scan census, not the hard-coded G6 values
+    graphs = [*enumerate_connected_graphs(5), clique_with_pendant_star(3, 2),
+              clique_with_pendant_star(4, 3)]
+    for g in graphs:
+        census = Counter((w.count(0), w.count(1), w.count(2)) for w in ref_weightings(g))
+        want = float(ref_interior_limit_constant(census.items(), q))
+        assert spectrum(g).interior_limit_constant(float(q)) == pytest.approx(want, rel=1e-12)
 
 
 def test_interior_limit_constant_positive():
