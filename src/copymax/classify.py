@@ -31,9 +31,10 @@ from .graphs import (
 )
 from .hosts import (
     DEFAULT_BUDGET,
+    _check_pattern_size,
     _copies,
     automorphism_count,
-    copies_count,
+    injective_count,
     injective_count_from_spectrum,
 )
 from .weightings import spectrum
@@ -233,22 +234,18 @@ def exhaustive_ex(n: int, e: int, pattern: Graph, budget: int = DEFAULT_BUDGET):
     Adding an edge never destroys a copy, so the maximum is attained with
     exactly min(e, C(n,2)) edges; only that level is counted.  Each host is
     counted by backtracking, which raises CountBudgetExceeded past
-    ``budget`` search nodes.
+    ``budget`` search nodes; the pattern's automorphisms are counted once.
     """
     if n > MAX_ENUMERATION:
         raise ValueError(f"exhaustive search limited to {MAX_ENUMERATION} vertices")
     if e < 0:
         raise ValueError("edge bound must be non-negative")
-    e = min(e, n * (n - 1) // 2)
-    levels = _graph_classes(n)
-    best = -1
-    best_host = None
-    for mask in levels[e]:
-        host = graph_from_edge_mask(n, mask)
-        c = copies_count(pattern, host, budget=budget)
-        if c > best:
-            best, best_host = c, host
-    return best, best_host
+    _check_pattern_size(pattern)      # before the automorphism search
+    aut = automorphism_count(pattern)
+    levels = _graph_classes(n)                # one level per edge count 0..C(n,2)
+    candidates = (graph_from_edge_mask(n, mask) for mask in levels[min(e, len(levels) - 1)])
+    counted = ((_copies(injective_count(pattern, h, budget=budget), aut), h) for h in candidates)
+    return max(counted, key=lambda ch: ch[0])     # the first host with the most copies
 
 
 @dataclass(frozen=True)

@@ -50,11 +50,11 @@ def _parse_beta_range(text):
     return [float(b) for b in np.linspace(lo, hi, steps)]
 
 
-def _parse_bracket(text):
-    parts = text.split(":")
+def _split_two(text, sep, form):
+    parts = text.split(sep)
     if len(parts) != 2:
-        raise ValueError(f"bracket must be lo:hi, got {text!r}")
-    return float(parts[0]), float(parts[1])
+        raise ValueError(f"{form}, got {text!r}")
+    return parts
 
 
 def _parse_n_list(text):
@@ -75,8 +75,8 @@ def _load_graph(args):
         return parse_edge_list(args.graph)
     if args.builtin is not None:
         return builtin_graph(args.builtin)
-    a, b = (int(x) for x in args.family.split(","))
-    return clique_with_pendant_star(a, b)
+    a, b = _split_two(args.family, ",", "family must be a,b")
+    return clique_with_pendant_star(int(a), int(b))
 
 
 def _json_text(obj):
@@ -128,7 +128,8 @@ def cmd_crossover(args):
     spec = weightings.spectrum(g)
     q1, q2 = _parse_q(args.q1), _parse_q(args.q2)
     if args.bracket is not None:
-        bracket = _parse_bracket(args.bracket)
+        lo, hi = _split_two(args.bracket, ":", "bracket must be lo:hi")
+        bracket = float(lo), float(hi)
     else:
         bracket = density.crossover_bracket(spec, q1, q2)
     root = density.crossover_beta(spec, q1, q2, bracket, tol=args.tol)

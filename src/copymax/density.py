@@ -12,10 +12,10 @@ and the limiting density of a pattern graph is the census sum
 
     t(beta, q) = sum over weightings phi of  y^{y_phi} r^{r_phi} b^{b_phi}.
 
-r and b are evaluated through the conjugate forms x/(1 + sqrt(1-x)) and
-(1-beta)/(sqrt(1-x) + sqrt(beta) q): the naive expressions lose ~5 decimal
-digits to cancellation at small beta, which is fatal for the 1e-12-relative
-endpoint comparisons below.
+r and b are evaluated in conjugate form (``_fractions``, the one copy of
+y, r and b): the naive expressions lose ~5 decimal digits to cancellation
+at small beta, which is fatal for the 1e-12-relative endpoint comparisons
+below.
 
 The supremum over q is a grid scan plus golden-section refinement at every
 local grid maximum, except on flat profiles (the grid within REL_TOL of
@@ -85,13 +85,14 @@ def _check_range(beta, q):
         raise ValueError(f"q must lie in [0, 1], got {q}")
 
 
-def _fractions(beta, q):
-    """(y, r, b) at one (beta, q) already checked to lie in range."""
+def _fractions(beta, q, sqrt=math.sqrt):
+    """(y, r, b) at one beta and a q (a q array with sqrt=np.sqrt), checked
+    to lie in range.  Below beta = 1, s + y >= sqrt(1 - beta) > 0."""
     x = beta * (1.0 - q * q)
-    s = math.sqrt(1.0 - x)
+    s = sqrt(1.0 - x)
     y = math.sqrt(beta) * q
     r = x / (1.0 + s)
-    b = (1.0 - beta) / (s + y) if (s + y) > 0.0 else 0.0
+    b = (1.0 - beta) / (s + y) if beta < 1.0 else 0.0 * q
     return y, r, b
 
 
@@ -100,37 +101,29 @@ def class_fractions(beta: float, q: float) -> ClassFractions:
     return ClassFractions(beta, q, *_fractions(beta, q))
 
 
+def _live_terms(terms, y, r, b):
+    """The terms with no positive count on an empty class (the rest are 0);
+    apart from t_density's hot loop, so that loop reads no closure cells."""
+    return [t for t in terms if not (y <= 0.0 and t[0] or r <= 0.0 and t[1]
+                                     or b <= 0.0 and t[2])]
+
+
 def t_density(spec, beta: float, q: float) -> float:
     """Census sum for one (beta, q), each term evaluated in log space and
     added in entry order."""
     _check_range(beta, q)
     y, r, b = _fractions(beta, q)
     terms = spec.density_terms
-    total = 0.0
     if y > 0.0 and r > 0.0 and b > 0.0:
-        # a zero count adds +-0.0 to the exponent: the same bits as skipping it
         ly, lr, lb = math.log(y), math.log(r), math.log(b)
-        for yc, rc, bc, mult in terms:
-            total += mult * math.exp(yc * ly + rc * lr + bc * lb)
-        return total
-    ly = math.log(y) if y > 0.0 else None
-    lr = math.log(r) if r > 0.0 else None
-    lb = math.log(b) if b > 0.0 else None
+    else:
+        # the terms left count the empty class 0 times, so log 0.0 in its
+        # place adds +-0.0 to the exponent: the same bits as skipping it
+        terms = _live_terms(terms, y, r, b)
+        ly, lr, lb = (math.log(v) if v > 0.0 else 0.0 for v in (y, r, b))
+    total = 0.0
     for yc, rc, bc, mult in terms:
-        s = 0.0
-        if yc:
-            if ly is None:
-                continue
-            s += yc * ly
-        if rc:
-            if lr is None:
-                continue
-            s += rc * lr
-        if bc:
-            if lb is None:
-                continue
-            s += bc * lb
-        total += mult * math.exp(s)
+        total += mult * math.exp(yc * ly + rc * lr + bc * lb)
     return total
 
 
@@ -145,12 +138,7 @@ def t_density_grid(spec, beta: float, qs):
     if qs.size and (qs.min() < 0.0 or qs.max() > 1.0):
         raise ValueError("q grid must lie in [0, 1]")
     _check_range(beta, 0.0)
-    x = beta * (1.0 - qs * qs)
-    s = np.sqrt(1.0 - x)
-    y = math.sqrt(beta) * qs
-    r = x / (1.0 + s)
-    denom = s + y
-    b = np.divide(1.0 - beta, denom, out=np.zeros_like(qs), where=denom > 0.0)
+    y, r, b = _fractions(beta, qs, np.sqrt)
     terms = spec.density_matrix
     acc = np.zeros((len(terms), qs.size))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -269,21 +257,25 @@ def density_curve(spec, betas) -> DensityCurve:
     return DensityCurve(samples=tuple(curve_sample(spec, beta) for beta in betas))
 
 
+def _crossover_gap(spec, q1, q2):
+    """beta -> t(beta, q1) - t(beta, q2), whose root is the crossover."""
+    return lambda beta: t_density(spec, beta, q1) - t_density(spec, beta, q2)
+
+
 def crossover_bracket(spec, q1: float, q2: float):
     """First sign change of t(., q1) - t(., q2) on a 400-point geometric
     grid over [1e-6, 1], as a bracket for crossover_beta."""
     import numpy as np
 
-    grid = np.geomspace(1e-6, 1.0, 400)
-    f = lambda b: t_density(spec, b, q1) - t_density(spec, b, q2)
+    f = _crossover_gap(spec, q1, q2)
     prev_b, prev_f = None, None
-    for b in grid:
-        val = f(float(b))
+    for b in np.geomspace(1e-6, 1.0, 400).tolist():
+        val = f(b)
         if val == 0.0:
-            return (float(b) * 0.99, min(float(b) * 1.01, 1.0))
+            return (b * 0.99, min(b * 1.01, 1.0))
         if prev_f is not None and (val > 0.0) != (prev_f > 0.0):
-            return (prev_b, float(b))
-        prev_b, prev_f = float(b), val
+            return (prev_b, b)
+        prev_b, prev_f = b, val
     raise ValueError("no crossover found on (1e-6, 1); give --bracket explicitly")
 
 
@@ -295,7 +287,7 @@ def crossover_beta(spec, q1: float, q2: float, bracket, tol: float = 1e-6) -> fl
         raise ValueError(f"bad bracket {bracket}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    f = lambda b: t_density(spec, b, q1) - t_density(spec, b, q2)
+    f = _crossover_gap(spec, q1, q2)
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo

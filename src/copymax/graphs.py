@@ -107,6 +107,22 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
+# edge masks: pair i < j of an n-vertex graph is bit j(j-1)/2 + i (graph6 order)
+
+@lru_cache(maxsize=None)
+def _pairs(n):
+    return tuple((i, j) for j in range(n) for i in range(j))
+
+
+def _edge_bits(g):
+    return [v * (v - 1) // 2 + u for u, v in g.edges]       # edges have u < v
+
+
+def graph_from_edge_mask(n: int, mask: int) -> Graph:
+    return Graph(n, [pair for k, pair in enumerate(_pairs(n)) if mask >> k & 1])
+
+
+# ---------------------------------------------------------------------------
 # parsing / formatting
 
 _TOKEN = re.compile(r"^(\d+)-(\d+)$")
@@ -167,32 +183,18 @@ def parse_graph6(text: str) -> Graph:
     need = (nbits + 5) // 6
     if len(data) - 1 != need:
         raise ValueError(f"graph6 bit field has {len(data) - 1} bytes, expected {need}")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = data[1 + k // 6]
-            if byte >> (5 - k % 6) & 1:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, edges)
+    mask = sum(1 << k for k in range(nbits) if data[1 + k // 6] >> (5 - k % 6) & 1)
+    return graph_from_edge_mask(n, mask)
 
 
 def write_graph6(g: Graph) -> str:
     """Encode in graph6 (column-major upper-triangle bits, 6 per byte)."""
     if g.n > 62:
         raise ValueError("graph6 single-byte form needs v <= 62")
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
+    mask = sum(1 << k for k in _edge_bits(g))
     out = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        chunk = bits[k:k + 6] + [0] * (6 - len(bits[k:k + 6]))
-        val = 0
-        for b in chunk:
-            val = val << 1 | b
-        out.append(chr(val + 63))
+    for k in range(0, g.n * (g.n - 1) // 2, 6):      # bit k is a byte's high bit
+        out.append(chr(63 + sum((mask >> (k + i) & 1) << (5 - i) for i in range(6))))
     return "".join(out)
 
 
@@ -204,7 +206,7 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete_graph(k: int) -> Graph:
-    return Graph(k, list(itertools.combinations(range(k), 2)))
+    return Graph(k, _pairs(k))
 
 
 def path_graph(edges: int) -> Graph:
@@ -238,7 +240,7 @@ def clique_with_pendant_star(a: int, b: int) -> Graph:
         raise ValueError("clique size must be at least 3")
     if b < 2:
         raise ValueError("need at least 2 pendant leaves")
-    edges = list(itertools.combinations(range(a), 2))
+    edges = list(_pairs(a))
     u = a
     edges.append((a - 1, u))
     edges.extend((u, u + 1 + i) for i in range(b))
@@ -288,8 +290,7 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # canonical forms and enumeration up to isomorphism
 #
-# Pair i < j of an n-vertex graph is bit j(j-1)/2 + i of its edge mask.  The
-# canonical form is the minimum, over all n! vertex permutations, of the
+# The canonical form is the minimum, over all n! vertex permutations, of the
 # permuted edge mask.  ``_pair_images(n)`` holds, for each pair bit, its
 # image bit under every permutation, so a graph's n! images are the OR of
 # its edges' rows and one numpy min gives the form.  The rows are int32,
@@ -303,14 +304,10 @@ def _pair_images(n):
 
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
                         dtype=np.int8).reshape(-1, n)
-    pairs = [(i, j) for j in range(n) for i in range(j)]      # bit k <-> pairs[k]
+    i, j = np.array(_pairs(n), dtype=np.intp).reshape(-1, 2).T
     bit = np.zeros((n, n), dtype=np.int32)
-    for k, (i, j) in enumerate(pairs):
-        bit[i, j] = bit[j, i] = k
-    table = np.empty((len(pairs), len(perms)), dtype=np.int32)
-    for k, (i, j) in enumerate(pairs):
-        np.left_shift(1, bit[perms[:, i], perms[:, j]], out=table[k])
-    return table
+    bit[i, j] = bit[j, i] = np.arange(len(i))        # the pair bit of {i, j}
+    return np.ascontiguousarray(np.left_shift(1, bit[perms[:, i], perms[:, j]]).T)
 
 
 def _images(table, bits):
@@ -327,19 +324,7 @@ def canonical_form(g: Graph):
     """(n, minimum edge bitmask); equal exactly for isomorphic graphs."""
     if g.n > MAX_ENUMERATION:
         raise ValueError(f"canonical form limited to {MAX_ENUMERATION} vertices")
-    bits = [v * (v - 1) // 2 + u for u, v in g.edges]       # edges have u < v
-    return (g.n, int(_images(_pair_images(g.n), bits).min()))
-
-
-def graph_from_edge_mask(n: int, mask: int) -> Graph:
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if mask >> k & 1:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, edges)
+    return (g.n, int(_images(_pair_images(g.n), _edge_bits(g)).min()))
 
 
 @lru_cache(maxsize=None)

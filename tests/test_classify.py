@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from copymax import classify
+from copymax import classify, hosts
 from copymax.classify import (
     _predicted_start,
     classify_type,
@@ -17,6 +17,7 @@ from copymax.classify import (
     three_class_host_probe,
 )
 from copymax.graphs import (
+    builtin_graph,
     clique_with_pendant_star,
     complete_graph,
     enumerate_connected_graphs,
@@ -250,6 +251,27 @@ def test_ex_cap():
     for n in (9, 10):
         with pytest.raises(ValueError, match="limited to 8 vertices"):
             exhaustive_ex(n, 5, complete_graph(2))
+
+
+def test_ex_counts_automorphisms_once(monkeypatch):
+    calls = []
+    counted = hosts.automorphism_count
+
+    def counting(g):
+        calls.append(g.n)
+        return counted(g)
+
+    # both names: ex's own, and the one hosts.copies_count reads
+    monkeypatch.setattr(classify, "automorphism_count", counting)
+    monkeypatch.setattr(hosts, "automorphism_count", counting)
+    best, host = exhaustive_ex(7, 12, builtin_graph("G6"))
+    assert (best, write_graph6(host)) == (48, "F]~o?")
+    assert calls == [6]
+    # patterns past the count limit are refused before any automorphism search
+    for k in (9, 10):
+        with pytest.raises(ValueError, match="pattern limited to 8 vertices"):
+            exhaustive_ex(5, 3, complete_graph(k))
+    assert calls == [6]
 
 
 def test_ex_eight_vertices():

@@ -10,8 +10,9 @@ import pytest
 from copymax.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
-# the benchmark's reference check, read from bench/ without importing it
-compare = runpy.run_path(str(ROOT / "bench" / "check.py"))["compare"]
+REFERENCES = ROOT / "bench" / "references"
+# the benchmark's invocations, read from bench/ without importing it
+BENCH = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
 
 
 def run_cli(*args, expect=0, timeout=None):
@@ -37,7 +38,7 @@ def test_analyze_g6(tmp_path):
 
 def test_analyze_g6_matches_reference():
     # the analyze output contract: byte for byte what the benchmark checks
-    ref = (ROOT / "bench" / "references" / "analyze-builtin-G6.out").read_text()
+    ref = (REFERENCES / "analyze-builtin-G6.out").read_text()
     assert run_cli("analyze", "--builtin", "G6").stdout == ref
 
 
@@ -64,9 +65,21 @@ def test_analyze_g6_matches_reference():
                  id="lp-family-5-4"),
 ])
 def test_sweep_g6_matches_reference(argv, reference):
-    # outputs held to the benchmark's reference check
-    ref = (ROOT / "bench" / "references" / f"{reference}.out").read_text()
-    assert compare(run_cli(*argv.split()).stdout, ref) is None
+    # through the python -m entry point, byte for byte
+    ref = (REFERENCES / f"{reference}.out").read_text()
+    assert run_cli(*argv.split()).stdout == ref
+
+
+def test_benchmark_invocations_match_references(capsys):
+    # every invocation the benchmark runs, in process and byte for byte: the
+    # benchmark's own check lets floats differ by 1e-9 relative, which
+    # would hide a change in the last printed digits
+    invocations = sorted({inv for w in BENCH["WORKLOADS"].values()
+                          for inv in w.every_invocation()})
+    assert len(invocations) == len(list(REFERENCES.glob("*.out"))) == 35
+    for inv in invocations:
+        assert main(list(inv)) == 0, inv
+        assert capsys.readouterr().out == (REFERENCES / BENCH["slug"](inv)).read_text(), inv
 
 
 def test_analyze_ten_vertices_automorphisms():
@@ -198,6 +211,12 @@ def test_crossover_bracket_needs_two_values():
     cp = run_cli("crossover", "--builtin", "G6", "--q1", "1", "--q2", "1/sqrt2",
                  "--bracket", "0.01:0.02:0.03", expect=2)
     assert "bracket must be lo:hi, got '0.01:0.02:0.03'" in cp.stderr
+
+
+def test_family_needs_two_values(capsys):
+    for text in ("4", "4,2,1"):
+        assert main(["lp", "--family", text]) == 2
+        assert f"family must be a,b, got '{text}'" in capsys.readouterr().err
 
 
 def test_explicit_empty_values_are_input_errors():
