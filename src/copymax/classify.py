@@ -102,9 +102,12 @@ def default_beta_grid():
 
 
 def _refine_boundary(spec, lo, hi, left_winner, tol):
-    """Bisect the winner change inside (lo, hi) to absolute tolerance tol."""
+    """Bisect the winner change inside (lo, hi) to absolute tolerance tol,
+    or until lo and hi are adjacent floats."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if curve_sample(spec, mid).winner == left_winner:
             lo = mid
         else:
@@ -113,6 +116,8 @@ def _refine_boundary(spec, lo, hi, left_winner, tol):
 
 
 def classify_type(g: Graph, tol: float = 1e-6) -> TypeClassification:
+    if not tol > 0.0:                 # NaN included
+        raise ValueError("tol must be positive")
     if not is_connected(g):
         raise ValueError("classification requires a connected graph")
     return _classify(g, spectrum(g), tol)
@@ -236,6 +241,11 @@ def exhaustive_ex(n: int, e: int, pattern: Graph, budget: int = DEFAULT_BUDGET):
     counted by backtracking, which raises CountBudgetExceeded past
     ``budget`` search nodes; the pattern's automorphisms are counted once.
     """
+    return _exhaustive_ex(n, e, pattern, budget)[:2]
+
+
+def _exhaustive_ex(n, e, pattern, budget):
+    """exhaustive_ex's (count, host), with the pattern's |Aut| it divided by."""
     if n > MAX_ENUMERATION:
         raise ValueError(f"exhaustive search limited to {MAX_ENUMERATION} vertices")
     if e < 0:
@@ -245,7 +255,7 @@ def exhaustive_ex(n: int, e: int, pattern: Graph, budget: int = DEFAULT_BUDGET):
     levels = _graph_classes(n)                # one level per edge count 0..C(n,2)
     candidates = (graph_from_edge_mask(n, mask) for mask in levels[min(e, len(levels) - 1)])
     counted = ((_copies(injective_count(pattern, h, budget=budget), aut), h) for h in candidates)
-    return max(counted, key=lambda ch: ch[0])     # the first host with the most copies
+    return (*max(counted, key=lambda ch: ch[0]), aut)  # the first host with the most copies
 
 
 @dataclass(frozen=True)
@@ -262,9 +272,8 @@ def three_class_host_probe(n: int, e: int, pattern: Graph) -> ThreeClassProbe:
     the family is asymptotically optimal is open).  The three-class hosts
     are counted by the census route, so the pattern must have no isolated
     vertices."""
-    exhaustive_max, _ = exhaustive_ex(n, e, pattern)
+    exhaustive_max, _, aut = _exhaustive_ex(n, e, pattern, DEFAULT_BUDGET)
     spec = spectrum(pattern)
-    aut = automorphism_count(pattern)
     best = -1
     best_sizes = None
     for ny in range(n + 1):

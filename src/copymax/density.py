@@ -281,11 +281,11 @@ def crossover_bracket(spec, q1: float, q2: float):
 
 def crossover_beta(spec, q1: float, q2: float, bracket, tol: float = 1e-6) -> float:
     """Bisection root of t(., q1) - t(., q2) on the bracket, to absolute
-    tolerance tol on beta."""
+    tolerance tol on beta or until lo and hi are adjacent floats."""
     lo, hi = bracket
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"bad bracket {bracket}")
-    if tol <= 0.0:
+    if not tol > 0.0:                 # NaN included
         raise ValueError("tol must be positive")
     f = _crossover_gap(spec, q1, q2)
     flo, fhi = f(lo), f(hi)
@@ -297,6 +297,8 @@ def crossover_beta(spec, q1: float, q2: float, bracket, tol: float = 1e-6) -> fl
         raise ValueError(f"no sign change on bracket {bracket}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:         # lo and hi are adjacent floats
+            break
         fm = f(mid)
         if fm == 0.0:
             return mid

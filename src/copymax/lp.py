@@ -9,10 +9,12 @@ vertex (z_u + sum of incident y >= 1) at minimum cost
 sum z_u + (2 - eps) sum y_uw.
 
 The primal side is the closed-form witness.  The dual is solved once, by a
-dense two-phase simplex over Fraction entries with Bland's pivoting rule.
-Both points are checked feasible by substitution, and their values meet at
-the closed form, so weak duality proves both optimal: exact rationals, no
-solver tolerances, and no second solve.
+dense simplex over Fraction entries with Bland's pivoting rule, started
+from the feasible basis z_u = 1.  A two-phase start reaches that basis, with
+the same tableau, at the end of phase 1, so phase 1 is skipped and every
+later pivot is the same.  Both points are checked feasible by substitution,
+and their values meet at the closed form, so weak duality proves both
+optimal: exact rationals, no solver tolerances, and no second solve.
 """
 
 from __future__ import annotations
@@ -62,24 +64,8 @@ def _as_eps(eps) -> Fraction:
     return eps
 
 
-def _covering_program(g: Graph, eps):
-    """The dual as max c.x subject to A x <= b, x >= 0: costs and covering
-    rows negated, b = -1.  Columns are z_1..z_v, then y in g.edges order."""
-    v, edges = g.n, g.edges
-    c = [-F1] * v + [-(2 - eps)] * len(edges)
-    A = []
-    for u in range(v):
-        row = [F0] * (v + len(edges))
-        row[u] = -F1
-        for k, (a, b) in enumerate(edges):
-            if u in (a, b):
-                row[v + k] = -F1
-        A.append(row)
-    return c, A, [-F1] * v
-
-
 # ---------------------------------------------------------------------------
-# dense two-phase simplex, Fraction arithmetic, Bland's rule
+# dense simplex, Fraction arithmetic, Bland's rule
 
 def _pivot(tableau, bottom, basis, row, col):
     prow = tableau[row]
@@ -114,75 +100,28 @@ def _optimize(tableau, bottom, basis, ncols):
         _pivot(tableau, bottom, basis, leave, enter)
 
 
-def _simplex_max(c, A, b):
-    """max c.x subject to A x <= b, x >= 0; b entries of any sign.
+def _solve_cover(g: Graph, eps):
+    """An optimal cover [z_1..z_v, y in g.edges order]: min sum z + (2 - eps)
+    sum y over z, y >= 0 with z_u + (sum of y on edges at u) >= 1.
 
-    Returns (optimum, x).  Rows with negative right-hand side are negated
-    into >= form and given an artificial variable; phase 1 drives the
-    artificials to zero before phase 2 optimises the true objective.
+    The tableau holds the covering rows [I | incidence | -I | 1] over z, y
+    and the surplus columns, in the basis z_u = 1: reduced costs 0 on z,
+    -eps on y and +1 on the surplus.  A two-phase start ends phase 1 in this
+    state (Bland's rule enters z_1, ..., z_v, each into the one row where it
+    is nonzero), so the pivots below are the two-phase simplex's phase 2.
     """
-    m, n = len(A), len(c)
-    art_rows = [i for i in range(m) if b[i] < 0]
-    n_art = len(art_rows)
-    ncols = n + m + n_art
-    tableau = []
-    basis = []
-    art_of = {r: n + m + k for k, r in enumerate(art_rows)}
-    for i in range(m):
-        coeffs = list(A[i])
-        rhs = b[i]
-        row = [F0] * (ncols + 1)
-        if rhs < 0:
-            coeffs = [-x for x in coeffs]
-            rhs = -rhs
-            row[n + i] = -F1              # surplus
-            row[art_of[i]] = F1           # artificial, starts basic
-            basis.append(art_of[i])
-        else:
-            row[n + i] = F1               # slack, starts basic
-            basis.append(n + i)
-        row[:n] = coeffs
-        row[-1] = rhs
-        tableau.append(row)
-
-    if n_art:
-        # phase 1: maximise -(sum of artificials)
-        bottom = [F0] * (ncols + 1)
-        for r in art_rows:
-            bottom[art_of[r]] = F1
-        for i, r in enumerate(art_rows):
-            # eliminate the basic artificial columns from the bottom row
-            row = tableau[r]
-            for j in range(ncols + 1):
-                bottom[j] -= row[j]
-        _optimize(tableau, bottom, basis, ncols)
-        if bottom[-1] != 0:
-            raise RuntimeError("LP is infeasible (cannot happen for these programs)")
-        for i in range(m):
-            if basis[i] >= n + m:
-                # basic artificial at level zero: pivot it out or drop the row
-                col = next((j for j in range(n + m) if tableau[i][j] != 0), None)
-                if col is not None:
-                    _pivot(tableau, bottom, basis, i, col)
-        keep = [i for i in range(m) if basis[i] < n + m]
-        tableau = [tableau[i][: n + m] + [tableau[i][-1]] for i in keep]
-        basis = [basis[i] for i in keep]
-    ncols = n + m
-
-    bottom = [-x for x in c] + [F0] * (m + 1)
-    for i, bvar in enumerate(basis):
-        if bottom[bvar]:
-            f = bottom[bvar]
-            row = tableau[i]
-            for j in range(ncols + 1):
-                bottom[j] -= f * row[j]
+    v, e = g.n, g.edge_count
+    ncols = 2 * v + e
+    tableau = [[F0] * (ncols + 1) for _ in range(v)]
+    for u, row in enumerate(tableau):
+        row[u], row[v + e + u], row[-1] = F1, -F1, F1
+    for k, (a, b) in enumerate(g.edges):
+        tableau[a][v + k] = tableau[b][v + k] = F1
+    bottom = [F0] * v + [-eps] * e + [F1] * v + [Fraction(-v)]
+    basis = list(range(v))
     _optimize(tableau, bottom, basis, ncols)
-
-    x = [F0] * n
-    for i, bvar in enumerate(basis):
-        if bvar < n:
-            x[bvar] = tableau[i][-1]
-    return bottom[-1], x
+    basic = {col: row[-1] for col, row in zip(basis, tableau)}
+    return [basic.get(j, F0) for j in range(v + e)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +166,7 @@ def duality_check(g: Graph, eps) -> DualityReport:
         raise DualityMismatchError("formula witness violates an edge row")
     if sum(x) != formula:
         raise DualityMismatchError("formula witness misses the optimum")
-    _, zy = _simplex_max(*_covering_program(g, eps))
+    zy = _solve_cover(g, eps)
     z, y = zy[:g.n], zy[g.n:]
     cover = list(z)
     for (a, b), yk in zip(g.edges, y):

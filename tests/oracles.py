@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive (product scans, combinations
 filters, permutation scans, hardcoded limit polynomials, per-entry density
-loops, a log-log fit, the full primal LP) so that the library's routes can
-be checked against code that shares nothing with them.
+loops, a log-log fit, the full primal LP, a general two-phase simplex) so
+that the library's routes can be checked against code that shares nothing
+with them.
 """
 
 import itertools
@@ -158,6 +159,117 @@ def ref_primal_program(g, eps):
     rows = [[Fraction(int(w == u)) for w in range(g.n)] for u in range(g.n)]
     rows += [[Fraction(int(w in e)) for w in range(g.n)] for e in g.edges]
     return [Fraction(1)] * g.n, rows, [Fraction(1)] * g.n + [2 - eps] * len(g.edges)
+
+
+# the dense two-phase simplex the library used before it started the
+# covering program from the z basis: <=-form rows, artificials and phase 1
+
+F0 = Fraction(0)
+F1 = Fraction(1)
+
+
+def _ref_pivot(tableau, bottom, basis, row, col):
+    prow = tableau[row]
+    piv = prow[col]
+    tableau[row] = prow = [x / piv for x in prow]
+    for r, trow in enumerate(tableau):
+        if r != row and trow[col]:
+            f = trow[col]
+            tableau[r] = [a - f * b for a, b in zip(trow, prow)]
+    if bottom[col]:
+        f = bottom[col]
+        for j, b in enumerate(prow):
+            bottom[j] -= f * b
+    basis[row] = col
+
+
+def _ref_optimize(tableau, bottom, basis, ncols):
+    while True:
+        enter = next((j for j in range(ncols) if bottom[j] < 0), None)  # Bland
+        if enter is None:
+            return
+        leave = None
+        best = None
+        for i, row in enumerate(tableau):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            raise RuntimeError("LP is unbounded (cannot happen for these programs)")
+        _ref_pivot(tableau, bottom, basis, leave, enter)
+
+
+def ref_simplex_max(c, A, b):
+    """max c.x subject to A x <= b, x >= 0; b entries of any sign.
+
+    Returns (optimum, x).  Rows with negative right-hand side are negated
+    into >= form and given an artificial variable; phase 1 drives the
+    artificials to zero before phase 2 optimises the true objective.
+    """
+    m, n = len(A), len(c)
+    art_rows = [i for i in range(m) if b[i] < 0]
+    n_art = len(art_rows)
+    ncols = n + m + n_art
+    tableau = []
+    basis = []
+    art_of = {r: n + m + k for k, r in enumerate(art_rows)}
+    for i in range(m):
+        coeffs = list(A[i])
+        rhs = b[i]
+        row = [F0] * (ncols + 1)
+        if rhs < 0:
+            coeffs = [-x for x in coeffs]
+            rhs = -rhs
+            row[n + i] = -F1              # surplus
+            row[art_of[i]] = F1           # artificial, starts basic
+            basis.append(art_of[i])
+        else:
+            row[n + i] = F1               # slack, starts basic
+            basis.append(n + i)
+        row[:n] = coeffs
+        row[-1] = rhs
+        tableau.append(row)
+
+    if n_art:
+        # phase 1: maximise -(sum of artificials)
+        bottom = [F0] * (ncols + 1)
+        for r in art_rows:
+            bottom[art_of[r]] = F1
+        for i, r in enumerate(art_rows):
+            # eliminate the basic artificial columns from the bottom row
+            row = tableau[r]
+            for j in range(ncols + 1):
+                bottom[j] -= row[j]
+        _ref_optimize(tableau, bottom, basis, ncols)
+        if bottom[-1] != 0:
+            raise RuntimeError("LP is infeasible (cannot happen for these programs)")
+        for i in range(m):
+            if basis[i] >= n + m:
+                # basic artificial at level zero: pivot it out or drop the row
+                col = next((j for j in range(n + m) if tableau[i][j] != 0), None)
+                if col is not None:
+                    _ref_pivot(tableau, bottom, basis, i, col)
+        keep = [i for i in range(m) if basis[i] < n + m]
+        tableau = [tableau[i][: n + m] + [tableau[i][-1]] for i in keep]
+        basis = [basis[i] for i in keep]
+    ncols = n + m
+
+    bottom = [-x for x in c] + [F0] * (m + 1)
+    for i, bvar in enumerate(basis):
+        if bottom[bvar]:
+            f = bottom[bvar]
+            row = tableau[i]
+            for j in range(ncols + 1):
+                bottom[j] -= f * row[j]
+    _ref_optimize(tableau, bottom, basis, ncols)
+
+    x = [F0] * n
+    for i, bvar in enumerate(basis):
+        if bvar < n:
+            x[bvar] = tableau[i][-1]
+    return bottom[-1], x
 
 
 def disjoint_union(a, b):

@@ -274,6 +274,23 @@ def test_ex_counts_automorphisms_once(monkeypatch):
     assert calls == [6]
 
 
+def test_probe_counts_automorphisms_once(monkeypatch):
+    calls = []
+    counted = hosts.automorphism_count
+
+    def counting(g):
+        calls.append(g.n)
+        return counted(g)
+
+    # both names: the probe's own module, and the one hosts.copies_count reads
+    monkeypatch.setattr(classify, "automorphism_count", counting)
+    monkeypatch.setattr(hosts, "automorphism_count", counting)
+    probe = three_class_host_probe(7, 12, builtin_graph("G6"))
+    assert probe == classify.ThreeClassProbe(
+        exhaustive_max=48, family_max=36, family_sizes=(4, 1, 2), ratio=0.75)
+    assert calls == [6]
+
+
 def test_ex_eight_vertices():
     # 10 edges hold at most the 10 triangles of K5 (Kruskal-Katona)
     best, host = exhaustive_ex(8, 10, complete_graph(3))

@@ -207,6 +207,27 @@ def test_oracle_refuses_nine_vertex_pattern():
     assert "pattern limited to 8 vertices" in cp.stderr
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(("classify", "--builtin", "P2"), id="classify"),
+    pytest.param(("crossover", "--builtin", "G6", "--q1", "1", "--q2", "1/sqrt2"),
+                 id="crossover"),
+])
+def test_bisection_refuses_nonpositive_tol(argv, tol):
+    cp = run_cli(*argv, "--tol", tol, expect=2, timeout=10)
+    assert "tol must be positive" in cp.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("classify", "--builtin", "P2"), id="classify"),
+    pytest.param(("crossover", "--builtin", "G6", "--q1", "1", "--q2", "1/sqrt2"),
+                 id="crossover"),
+])
+def test_bisection_stops_at_adjacent_floats(argv):
+    # a tol below the float spacing used to bisect forever
+    run_cli(*argv, "--tol", "1e-300", timeout=10)
+
+
 def test_crossover_bracket_needs_two_values():
     cp = run_cli("crossover", "--builtin", "G6", "--q1", "1", "--q2", "1/sqrt2",
                  "--bracket", "0.01:0.02:0.03", expect=2)

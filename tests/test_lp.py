@@ -19,11 +19,28 @@ from copymax.lp import (
     duality_check,
     epsilon_for_density,
     primal_optimum_formula,
-    _simplex_max,
+    _solve_cover,
 )
 from copymax.weightings import fractional_independence_number, maximal_weighting
-from oracles import ref_primal_program, ref_weightings
+from oracles import ref_primal_program, ref_simplex_max, ref_weightings
 from test_graphs import graphs_without_isolated_vertices
+
+
+def covering_program(g, eps):
+    """The covering dual as max c.x subject to A x <= b, x >= 0: costs and
+    covering rows negated, b = -1.  Columns are z_1..z_v, then y in g.edges
+    order, the columns _solve_cover returns."""
+    v, edges = g.n, g.edges
+    c = [-Fraction(1)] * v + [-(2 - Fraction(eps))] * len(edges)
+    A = []
+    for u in range(v):
+        row = [Fraction(0)] * (v + len(edges))
+        row[u] = -Fraction(1)
+        for k, (a, b) in enumerate(edges):
+            if u in (a, b):
+                row[v + k] = -Fraction(1)
+        A.append(row)
+    return c, A, [-Fraction(1)] * v
 
 
 def test_formula_values(g6):
@@ -40,12 +57,13 @@ def test_formula_values(g6):
 def test_primal_solve_matches_formula(g6):
     for g, eps in ((g6, Fraction(1, 10)), (complete_graph(3), Fraction(1, 2)),
                    (cycle_graph(5), Fraction(1, 3)), (path_graph(4), Fraction(1, 7))):
-        value, _ = _simplex_max(*ref_primal_program(g, eps))
+        value, _ = ref_simplex_max(*ref_primal_program(g, eps))
         assert value == g.n - eps * (g.n - fractional_independence_number(g))
 
 
 def test_primal_k3_half():
-    assert _simplex_max(*ref_primal_program(complete_graph(3), Fraction(1, 2)))[0] == Fraction(9, 4)
+    value, _ = ref_simplex_max(*ref_primal_program(complete_graph(3), Fraction(1, 2)))
+    assert value == Fraction(9, 4)
 
 
 def test_dual_k2():
@@ -83,7 +101,7 @@ def test_duality_check_rejects_large_eps(g6):
     # for the 2-edge path the box constraint x >= 0 binds first)
     with pytest.raises(ValueError):
         duality_check(g6, Fraction(3, 2))
-    value, _ = _simplex_max(*ref_primal_program(path_graph(2), Fraction(3, 2)))
+    value, _ = ref_simplex_max(*ref_primal_program(path_graph(2), Fraction(3, 2)))
     formula, _ = primal_optimum_formula(path_graph(2), Fraction(3, 2))
     assert value == 1 < formula
 
@@ -94,10 +112,23 @@ def test_duality_check_solves_once(g6, monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return _simplex_max(*args)
-    monkeypatch.setattr(lp, "_simplex_max", counted)
+        return _solve_cover(*args)
+    monkeypatch.setattr(lp, "_solve_cover", counted)
     duality_check(g6, Fraction(1, 10))
     assert len(calls) == 1
+
+
+@given(graphs_without_isolated_vertices(max_v=9).filter(
+           lambda g: g.n + g.edge_count <= lp.MAX_LP_VARIABLES),
+       st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda e: e > 0))
+@settings(max_examples=100, deadline=None)
+def test_cover_matches_two_phase_reference(g, eps):
+    # the z-basis start replays the two-phase simplex's phase 2: same optimum
+    # vertex, so the same value for every variable
+    value, x = ref_simplex_max(*covering_program(g, eps))
+    zy = _solve_cover(g, eps)
+    assert zy == x
+    assert sum(zy[:g.n]) + (2 - eps) * sum(zy[g.n:]) == -value
 
 
 @given(graphs_without_isolated_vertices(max_v=7),
@@ -110,7 +141,7 @@ def test_certificate_on_random_graphs(g, eps):
     assert all(t >= 0 for t in [*y.values(), *z])
     assert all(z[u] + sum(yk for e, yk in y.items() if u in e) >= 1 for u in range(g.n))
     cost = sum(z) + (2 - eps) * sum(y.values())
-    assert cost == rep.formula == _simplex_max(*ref_primal_program(g, eps))[0]
+    assert cost == rep.formula == ref_simplex_max(*ref_primal_program(g, eps))[0]
 
 
 def test_strong_duality_all_small_graphs():
@@ -153,7 +184,7 @@ def test_simplex_against_scipy():
         # keep the region bounded
         A += [[Fraction(1)] * n]
         b += [Fraction(20)]
-        value, x = _simplex_max(c, A, b)
+        value, x = ref_simplex_max(c, A, b)
         res = linprog(
             c=[-float(ci) for ci in c],
             A_ub=np.array([[float(a) for a in row] for row in A]),
@@ -185,7 +216,7 @@ def test_simplex_phase1_against_scipy():
         )
         if not res.success:
             continue  # infeasible instances are exercised by the dual LPs
-        value, _ = _simplex_max(c, A, b)
+        value, _ = ref_simplex_max(c, A, b)
         assert float(value) == pytest.approx(-res.fun, abs=1e-8)
 
 
