@@ -34,13 +34,11 @@ from .weightings import (
     spectrum,
 )
 from .density import (
-    ClassFractions,
     CurveSample,
     DensityCurve,
     ProfilePoint,
     attribute_winner,
     best_t_density,
-    class_fractions,
     clique_density,
     crossover_beta,
     crossover_bracket,
@@ -54,7 +52,6 @@ from .lp import (
     DualityMismatchError,
     DualityReport,
     duality_check,
-    epsilon_for_density,
     primal_optimum_formula,
 )
 from .hosts import (

@@ -182,8 +182,13 @@ def search_counterexamples(max_v: int):
     fractional independence number exceeds both the independence number and
     half the vertex count: exactly the graphs whose type cannot start with
     S or K."""
-    return [g for g in enumerate_connected_graphs(max_v)
-            if _predicted_start(spectrum(g)) == "T"]
+    return [g for g, _ in _counterexamples(max_v)]
+
+
+def _counterexamples(max_v: int):
+    """search_counterexamples' graphs, each with the census that found it."""
+    pairs = ((g, spectrum(g)) for g in enumerate_connected_graphs(max_v))
+    return [(g, spec) for g, spec in pairs if _predicted_start(spec) == "T"]
 
 
 def _predicted_start(spec):

@@ -160,18 +160,14 @@ def cmd_oracle(args):
 
 
 def cmd_search(args):
-    found = cls.search_counterexamples(args.max_v)
-    graphs = []
-    for g in found:
-        spec = weightings.spectrum(g)
-        graphs.append({
-            "graph6": write_graph6(g),
-            "v": g.n,
-            "e": g.edge_count,
-            "alpha": spec.alpha,
-            "alpha_star": str(spec.alpha_star),
-        })
-    return _json_text({"max_v": args.max_v, "count": len(found), "graphs": graphs})
+    graphs = [{
+        "graph6": write_graph6(g),
+        "v": g.n,
+        "e": g.edge_count,
+        "alpha": spec.alpha,
+        "alpha_star": str(spec.alpha_star),
+    } for g, spec in cls._counterexamples(args.max_v)]
+    return _json_text({"max_v": args.max_v, "count": len(graphs), "graphs": graphs})
 
 
 def cmd_lp(args):

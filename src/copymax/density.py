@@ -38,15 +38,6 @@ REFINE_TOL = 1e-10     # golden-section bracket width on q
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class ClassFractions:
-    beta: float
-    q: float
-    y: float
-    r: float
-    b: float
-
-
 class ProfilePoint(NamedTuple):
     value: float       # sup over q of t(beta, q)
     q_star: float      # smallest argmax (ties resolved within REL_TOL)
@@ -94,11 +85,6 @@ def _fractions(beta, q, sqrt=math.sqrt):
     r = x / (1.0 + s)
     b = (1.0 - beta) / (s + y) if beta < 1.0 else 0.0 * q
     return y, r, b
-
-
-def class_fractions(beta: float, q: float) -> ClassFractions:
-    _check_range(beta, q)
-    return ClassFractions(beta, q, *_fractions(beta, q))
 
 
 def _live_terms(terms, y, r, b):

@@ -25,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .density import class_fractions, t_density
+from .density import _check_range, _fractions, t_density
 from .graphs import Graph
 from .weightings import spectrum
 
@@ -96,9 +96,10 @@ def class_sizes(n: int, beta: float, q: float) -> tuple:
     rounded to nearest, the remainder to B."""
     if n < 10:
         raise ValueError("hosts need n >= 10")
-    fr = class_fractions(beta, q)
-    ny = math.floor(fr.y * n + 0.5)
-    nr = math.floor(fr.r * n + 0.5)
+    _check_range(beta, q)
+    y, r, _ = _fractions(beta, q)
+    ny = math.floor(y * n + 0.5)
+    nr = math.floor(r * n + 0.5)
     nb = n - ny - nr
     if nb < 0:
         raise ValueError(f"rounding left no room for the B class at n={n}")

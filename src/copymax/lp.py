@@ -19,7 +19,6 @@ optimal: exact rationals, no solver tolerances, and no second solve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -188,12 +187,3 @@ def duality_check(g: Graph, eps) -> DualityReport:
         witness_x=witness_x,
         witness_yz=yz,
     )
-
-
-def epsilon_for_density(beta: float, n: int) -> float:
-    """The eps with n^(-eps) = beta/2, i.e. -log(beta/2)/log(n)."""
-    if not 0.0 < beta <= 2.0:
-        raise ValueError(f"beta must lie in (0, 2], got {beta}")
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return -math.log(beta / 2.0) / math.log(n)

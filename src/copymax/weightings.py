@@ -12,12 +12,12 @@ The census of weightings by their (zero, half, one) vertex counts (the
 formula downstream.  It is counted once, by a memoised walk that never
 builds the weightings themselves, and alpha, the independent-set counts
 i_k, alpha*, the maximiser counts and a maximal weighting are all read
-from that one count.
+from that one count.  Each memo state is one int with a field per (y, b)
+(Kronecker packing), so merging a vertex's choices is shifts and adds.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -124,29 +124,50 @@ def _moves(later, half, zero):
 def _census(g: Graph):
     """The memoised count behind every census figure.
 
-    ``count(u, half, zero)`` maps (y, b) to the number of weightings of
-    vertices u..n-1 under the caps ``half`` and ``zero`` (relative to u, as
-    in ``_moves``); r is whatever is left.  Weights are assigned in vertex
-    order and a weight caps only later neighbours, so the count depends on
-    nothing else.  ``count(0, 0, 0)`` is the whole census.
+    ``count(u, half, zero)`` is the census of vertices u..n-1 under the caps
+    ``half`` and ``zero`` (relative to u, as in ``_moves``), packed into one
+    int: the number of weightings with y halves and b ones is slot
+    y*(n+1) + b, ``_width(n)`` bits wide (r is what is left).  No slot
+    exceeds 3^n, so adds never carry between slots.  Weights are assigned in
+    vertex order and a weight caps only later neighbours, so the count
+    depends on nothing else.  ``count(0, 0, 0)`` is the whole census.
     """
     n = g.n
     if n > MAX_WEIGHTING_VERTICES:
         raise ValueError(f"weighting census limited to {MAX_WEIGHTING_VERTICES} vertices")
     later = [g.adj[u] >> u for u in range(n)]
+    width = _width(n)
+    shift = (0, (n + 1) * width, width)     # by weight in halves: +0, +y, +b
 
     @lru_cache(maxsize=None)
     def count(u, half, zero):
         if u == n:
-            return {(0, 0): 1}
-        out = Counter()
+            return 1
+        total = 0
         for w, h, z in _moves(later[u], half, zero):
-            dy, db = w == 1, w == 2
-            for (y, b), mult in count(u + 1, h, z).items():
-                out[y + dy, b + db] += mult
-        return out
+            total += count(u + 1, h, z) << shift[w]
+        return total
 
     return count
+
+
+def _width(n: int) -> int:
+    return (3 ** n).bit_length()
+
+
+def _slot(packed: int, n: int, y: int, b: int) -> int:
+    """The number of weightings with y >= 0 halves and b >= 0 ones."""
+    width = _width(n)
+    return packed >> (y * (n + 1) + b) * width & ((1 << width) - 1)
+
+
+def _unpack(packed: int, n: int) -> dict:
+    """A packed census as {(y, b): multiplicity}, zero slots left out."""
+    width = _width(n)
+    mask = (1 << width) - 1
+    fields = ((y, b, packed >> (y * (n + 1) + b) * width & mask)
+              for y in range(n + 1) for b in range(n + 1 - y))
+    return {(y, b): mult for y, b, mult in fields if mult}
 
 
 def _max_halves(table) -> int:
@@ -155,7 +176,7 @@ def _max_halves(table) -> int:
 
 def fractional_independence_number(g: Graph) -> Fraction:
     """Maximum total weight, as an exact half-integer."""
-    return Fraction(_max_halves(_census(g)(0, 0, 0)), 2)
+    return Fraction(_max_halves(_unpack(_census(g)(0, 0, 0), g.n)), 2)
 
 
 def maximal_weighting(g: Graph) -> tuple:
@@ -166,7 +187,7 @@ def maximal_weighting(g: Graph) -> tuple:
     when the rest of the walk can still reach the target (y, b).
     """
     count = _census(g)
-    table = count(0, 0, 0)
+    table = _unpack(count(0, 0, 0), g.n)
     best = _max_halves(table)
     # among maximisers r fixes (y, b); the largest y + b has the fewest zeros
     y, b = max((yb for yb in table if yb[0] + 2 * yb[1] == best), key=sum)
@@ -175,7 +196,8 @@ def maximal_weighting(g: Graph) -> tuple:
     for u in range(g.n):
         for w, h, z in _moves(g.adj[u] >> u, half, zero):
             rest = (y - (w == 1), b - (w == 2))
-            if count(u + 1, h, z).get(rest):
+            # a target below zero halves or ones is empty, not another slot
+            if min(rest) >= 0 and _slot(count(u + 1, h, z), g.n, *rest):
                 break
         halves.append(w)
         half, zero, (y, b) = h, z, rest
@@ -186,7 +208,7 @@ def spectrum(g: Graph) -> WeightingSpectrum:
     """Weighting census of a graph without isolated vertices."""
     if g.has_isolated_vertices:
         raise ValueError("spectrum requires a graph with no isolated vertices")
-    table = _census(g)(0, 0, 0)
+    table = _unpack(_census(g)(0, 0, 0), g.n)
     entries = tuple(sorted(((g.n - y - b, y, b), m) for (y, b), m in table.items()))
     best = _max_halves(table)
     alpha_star = Fraction(best, 2)

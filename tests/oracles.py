@@ -19,7 +19,7 @@ from copymax.density import (
     REL_TOL,
     ProfilePoint,
     _golden_max,
-    class_fractions,
+    _fractions,
 )
 from copymax.graphs import Graph
 
@@ -292,10 +292,10 @@ def are_isomorphic(a, b):
 
 def ref_t_density(spec, beta, q):
     """Census sum for one (beta, q), term by term in log space."""
-    fr = class_fractions(beta, q)
-    ly = math.log(fr.y) if fr.y > 0.0 else None
-    lr = math.log(fr.r) if fr.r > 0.0 else None
-    lb = math.log(fr.b) if fr.b > 0.0 else None
+    y, r, b = _fractions(beta, q)
+    ly = math.log(y) if y > 0.0 else None
+    lr = math.log(r) if r > 0.0 else None
+    lb = math.log(b) if b > 0.0 else None
     total = 0.0
     for (rc, yc, bc), mult in spec.entries:
         s = 0.0

@@ -155,6 +155,23 @@ def test_search_finds_g6():
     assert json.loads(cp.stdout)["count"] == 0
 
 
+def test_search_takes_one_census_per_graph(monkeypatch, capsys):
+    # the printed alpha and alpha* come from the census that found the graph
+    import copymax.weightings as weightings
+    from copymax.graphs import enumerate_connected_graphs
+
+    calls, census = [], weightings._census
+
+    def counting(g):
+        calls.append(g)
+        return census(g)
+
+    monkeypatch.setattr(weightings, "_census", counting)
+    assert main(["search", "--max-v", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] >= 1
+    assert len(calls) == sum(1 for _ in enumerate_connected_graphs(6))
+
+
 def test_lp_command():
     cp = run_cli("lp", "--builtin", "G6", "--epsilon", "1/10")
     data = json.loads(cp.stdout)

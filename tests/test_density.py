@@ -12,7 +12,6 @@ from copymax.density import (
     REL_TOL,
     attribute_winner,
     best_t_density,
-    class_fractions,
     clique_density,
     crossover_beta,
     crossover_bracket,
@@ -21,6 +20,7 @@ from copymax.density import (
     star_density,
     t_density,
     t_density_grid,
+    _fractions,
 )
 from copymax.graphs import (
     Graph,
@@ -32,6 +32,7 @@ from copymax.graphs import (
     path_graph,
     write_graph6,
 )
+from copymax.hosts import class_sizes
 from copymax.weightings import spectrum
 from oracles import (
     g6_interior_polynomial,
@@ -49,16 +50,15 @@ Q_HALF = 1.0 / math.sqrt(2.0)
 # class fractions
 
 def test_fraction_endpoints():
-    fr = class_fractions(0.36, 0.0)
-    assert fr.y == 0.0
-    assert fr.r == pytest.approx(1.0 - math.sqrt(0.64), abs=1e-15)
-    assert fr.b == pytest.approx(math.sqrt(0.64), abs=1e-15)
-    fr = class_fractions(0.36, 1.0)
-    assert fr.r == 0.0
-    assert fr.y == pytest.approx(0.6, abs=1e-15)
-    assert fr.b == pytest.approx(0.4, abs=1e-15)
-    fr = class_fractions(0.0, 0.7)
-    assert (fr.y, fr.r, fr.b) == (0.0, 0.0, 1.0)
+    y, r, b = _fractions(0.36, 0.0)
+    assert y == 0.0
+    assert r == pytest.approx(1.0 - math.sqrt(0.64), abs=1e-15)
+    assert b == pytest.approx(math.sqrt(0.64), abs=1e-15)
+    y, r, b = _fractions(0.36, 1.0)
+    assert r == 0.0
+    assert y == pytest.approx(0.6, abs=1e-15)
+    assert b == pytest.approx(0.4, abs=1e-15)
+    assert _fractions(0.0, 0.7) == (0.0, 0.0, 1.0)
 
 
 def test_fraction_identities_random():
@@ -66,17 +66,18 @@ def test_fraction_identities_random():
     betas = rng.uniform(0.0, 1.0, 20000)
     qs = rng.uniform(0.0, 1.0, 20000)
     for beta, q in zip(betas, qs):
-        fr = class_fractions(beta, q)
-        assert fr.y >= 0.0 and fr.r >= 0.0 and fr.b >= 0.0
-        assert abs(fr.y + fr.r + fr.b - 1.0) <= 1e-12
-        edge = fr.y ** 2 + fr.r ** 2 + 2.0 * fr.r * (fr.y + fr.b)
+        y, r, b = _fractions(beta, q)
+        assert y >= 0.0 and r >= 0.0 and b >= 0.0
+        assert abs(y + r + b - 1.0) <= 1e-12
+        edge = y ** 2 + r ** 2 + 2.0 * r * (y + b)
         assert abs(edge - beta) <= 1e-12
 
 
 def test_fraction_domain():
+    # the class sizes are the one public reader of the fractions
     for beta, q in ((-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1)):
-        with pytest.raises(ValueError):
-            class_fractions(beta, q)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            class_sizes(100, beta, q)
 
 
 # ---------------------------------------------------------------------------

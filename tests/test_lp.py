@@ -17,7 +17,6 @@ from copymax.graphs import (
 )
 from copymax.lp import (
     duality_check,
-    epsilon_for_density,
     primal_optimum_formula,
     _solve_cover,
 )
@@ -218,16 +217,3 @@ def test_simplex_phase1_against_scipy():
             continue  # infeasible instances are exercised by the dual LPs
         value, _ = ref_simplex_max(c, A, b)
         assert float(value) == pytest.approx(-res.fun, abs=1e-8)
-
-
-def test_epsilon_for_density():
-    assert epsilon_for_density(2.0 / 1000.0, 1000) == pytest.approx(1.0, rel=1e-12)
-    assert epsilon_for_density(2.0, 50) == 0.0
-    assert epsilon_for_density(0.02, 1000) == pytest.approx(2.0 / 3.0, rel=1e-12)
-    for beta, n in ((0.5, 37), (0.001, 12), (1.0, 999)):
-        eps = epsilon_for_density(beta, n)
-        assert n ** -eps == pytest.approx(beta / 2.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        epsilon_for_density(0.0, 10)
-    with pytest.raises(ValueError):
-        epsilon_for_density(0.5, 1)

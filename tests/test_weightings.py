@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copymax.graphs import (
     Graph,
@@ -22,6 +24,7 @@ from copymax.weightings import (
     maximal_weighting,
     spectrum,
     _census,
+    _unpack,
 )
 from oracles import ref_independent_counts, ref_interior_limit_constant, ref_weightings
 
@@ -37,7 +40,16 @@ def signature(halves):
 
 def census_table(g):
     """The whole census, {(y, b): multiplicity}, isolated vertices allowed."""
-    return dict(_census(g)(0, 0, 0))
+    return _unpack(_census(g)(0, 0, 0), g.n)
+
+
+@st.composite
+def graphs_up_to_nine(draw):
+    """Random graphs on 1..9 vertices, isolated vertices allowed."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)
 
 
 def test_k2_weightings_explicit():
@@ -62,6 +74,31 @@ def test_enumeration_matches_product_scan(g6):
     for g in graphs:
         want = Counter(signature(w) for w in ref_weightings(g))
         assert census_table(g) == {(y, b): m for (r, y, b), m in want.items()}
+
+
+@given(graphs_up_to_nine())
+@settings(max_examples=80, deadline=None)
+def test_packed_census_matches_product_scan(g):
+    ws = sorted(ref_weightings(g), key=lambda w: (signature(w), w))
+    tally = Counter((w.count(1), w.count(2)) for w in ws)
+    assert census_table(g) == dict(tally)
+    best = max(sum(w) for w in ws)
+    assert maximal_weighting(g) == next(w for w in ws if sum(w) == best)
+
+
+def test_packed_slots_hold_the_largest_counts():
+    # with no edges every (y, b) slot is a trinomial 16!/(y! b! r!): the
+    # largest counts any 16-vertex census holds, so a narrow field shows
+    n = 16
+    table = census_table(empty_graph(n))
+    want = {(y, b): math.factorial(n) // (math.factorial(y) * math.factorial(b)
+                                          * math.factorial(n - y - b))
+            for y in range(n + 1) for b in range(n + 1 - y)}
+    assert len(table) == 153 and table == want
+    assert sum(table.values()) == 3 ** n
+    assert spectrum(cycle_graph(n)).total_weightings == 422266
+    with pytest.raises(ValueError):
+        census_table(empty_graph(n + 1))
 
 
 def test_maximal_weighting_is_first_in_census_order():
