@@ -13,10 +13,10 @@ hosts far too large to build.
 import math
 
 from copymax import (
+    automorphism_count,
     builtin_graph,
     class_sizes,
     convergence_report,
-    copies_count,
     hom_count,
     hom_count_from_partitions,
     injective_count,
@@ -28,6 +28,13 @@ from copymax import (
 )
 
 Q = 1.0 / math.sqrt(2.0)
+
+
+def copies_count(pattern, host):
+    """Unlabelled copies: embeddings divided by the automorphism count."""
+    return injective_count(pattern, host) // automorphism_count(pattern)
+
+
 g6 = builtin_graph("G6")
 spec = spectrum(g6)
 

@@ -61,7 +61,6 @@ from .hosts import (
     automorphism_count,
     class_sizes,
     convergence_report,
-    copies_count,
     hom_count,
     hom_count_from_partitions,
     injective_count,

@@ -17,12 +17,19 @@ y, r and b): the naive expressions lose ~5 decimal digits to cancellation
 at small beta, which is fatal for the 1e-12-relative endpoint comparisons
 below.
 
-The supremum over q is a grid scan plus golden-section refinement at every
-local grid maximum, except on flat profiles (the grid within REL_TOL of
-its maximum: beta = 1 for every graph, every beta for K2), where every q
-attains it and no refinement runs.  There f_T is the grid maximum, which
-may differ by a few ulps from what refinement would have reported; no
-printed output changes.
+The grid evaluator takes an array of betas as well as an array of q, so a
+density curve scans its betas in one pass per BETA_CHUNK rows, each row
+with the bits of a one-beta scan.
+
+The supremum over q is a grid scan plus golden-section refinement of the
+local grid maxima, highest first, skipping a maximum whose bracket
+[lo, hi] cannot reach the best value so far: y rises in q while r and b
+fall (b' = sqrt(beta)(sqrt(beta) q/s - 1) <= 0, as s >= sqrt(beta) q), so
+the term sum at (y(hi), r(lo), b(lo)) bounds t on the bracket.  On flat
+profiles (the grid within REL_TOL of its maximum: beta = 1 for every
+graph, every beta for K2) every q attains the sup and no refinement runs.
+There f_T is the grid maximum, which may differ by a few ulps from what
+refinement would have reported; no printed output changes.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from typing import NamedTuple
 
 REL_TOL = 1e-12        # relative tolerance for "attains the supremum"
 Q_GRID = 128           # q grid intervals scanned before refinement
+BETA_CHUNK = 32        # betas per grid pass, bounding its temporaries
 REFINE_TOL = 1e-10     # golden-section bracket width on q
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -77,29 +85,30 @@ def _check_range(beta, q):
 
 
 def _fractions(beta, q, sqrt=math.sqrt):
-    """(y, r, b) at one beta and a q (a q array with sqrt=np.sqrt), checked
-    to lie in range.  Below beta = 1, s + y >= sqrt(1 - beta) > 0."""
+    """(y, r, b) at a beta and a q, checked to lie in range; with
+    sqrt=np.sqrt either may be an array, and they broadcast.  Below beta = 1,
+    s + y >= sqrt(1 - beta) > 0.  At beta = 1 the numerator of b is 0 and
+    s + y is 0 at q = 0, so adding (beta >= 1) to the denominator keeps it
+    positive there and adds nothing anywhere else."""
     x = beta * (1.0 - q * q)
     s = sqrt(1.0 - x)
-    y = math.sqrt(beta) * q
+    y = sqrt(beta) * q
     r = x / (1.0 + s)
-    b = (1.0 - beta) / (s + y) if beta < 1.0 else 0.0 * q
+    b = (1.0 - beta) / (s + y + (beta >= 1.0))
     return y, r, b
 
 
 def _live_terms(terms, y, r, b):
     """The terms with no positive count on an empty class (the rest are 0);
-    apart from t_density's hot loop, so that loop reads no closure cells."""
+    apart from the hot loop in _term_sum, so that loop reads no closure
+    cells."""
     return [t for t in terms if not (y <= 0.0 and t[0] or r <= 0.0 and t[1]
                                      or b <= 0.0 and t[2])]
 
 
-def t_density(spec, beta: float, q: float) -> float:
-    """Census sum for one (beta, q), each term evaluated in log space and
-    added in entry order."""
-    _check_range(beta, q)
-    y, r, b = _fractions(beta, q)
-    terms = spec.density_terms
+def _term_sum(terms, y, r, b):
+    """sum of mult * y^yc r^rc b^bc over the (yc, rc, bc, mult) terms, each
+    term evaluated in log space and added in entry order."""
     if y > 0.0 and r > 0.0 and b > 0.0:
         ly, lr, lb = math.log(y), math.log(r), math.log(b)
     else:
@@ -113,27 +122,48 @@ def t_density(spec, beta: float, q: float) -> float:
     return total
 
 
-def t_density_grid(spec, beta: float, qs):
-    """t(beta, q) over a 1-D array of q values in one (entry x q) pass: the
-    masked count * log columns added in (y, r, b) order, one exp, then the
-    rows summed in entry order.  The sum is a running sum because np.sum may
-    add rows pairwise, which changes the last bits for short q arrays."""
+def t_density(spec, beta: float, q: float) -> float:
+    """Census sum for one (beta, q)."""
+    _check_range(beta, q)
+    return _term_sum(spec.density_terms, *_fractions(beta, q))
+
+
+def _check_grid(name, values):
+    """Refuse any value outside [0, 1]; NaN fails both comparisons."""
+    outside = values[~((values >= 0.0) & (values <= 1.0))]
+    if outside.size:
+        raise ValueError(f"{name} must lie in [0, 1], got {outside[0]}")
+
+
+def t_density_grid(spec, beta, qs):
+    """t(beta, q) over one beta or a 1-D array of betas and a 1-D array of
+    q values, as an array of shape beta.shape + qs.shape.
+
+    Betas are taken BETA_CHUNK rows at a time.  Each census entry adds its
+    nonzero count * log columns to an exponent that starts at 0 in (y, r, b)
+    order (log 0 = -inf makes a term on an empty class exp(-inf) = 0), and
+    the terms are added as a running sum in entry order (np.sum may add
+    pairwise, which moves the last bits).  No element depends on another,
+    so each row of a batched call has the bits of a one-beta call."""
     import numpy as np
 
+    betas = np.asarray(beta, dtype=float)
     qs = np.asarray(qs, dtype=float)
-    if qs.size and (qs.min() < 0.0 or qs.max() > 1.0):
-        raise ValueError("q grid must lie in [0, 1]")
-    _check_range(beta, 0.0)
-    y, r, b = _fractions(beta, qs, np.sqrt)
-    terms = spec.density_matrix
-    acc = np.zeros((len(terms), qs.size))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # log 0 = -inf, so a term with a positive count on an empty class
-        # is exp(-inf) = 0; a zero count is masked, never 0 * -inf
-        for col, val in enumerate((y, r, b)):
-            counts = terms[:, col:col + 1]
-            acc += np.where(counts != 0.0, counts * np.log(val), 0.0)
-    return np.cumsum(terms[:, 3:] * np.exp(acc), axis=0)[-1]
+    _check_grid("beta", betas)
+    _check_grid("q", qs)
+    out = np.zeros((betas.size, qs.size))
+    for lo in range(0, betas.size, BETA_CHUNK):
+        rows = betas.reshape(-1, 1)[lo:lo + BETA_CHUNK]
+        with np.errstate(divide="ignore"):
+            logs = [np.log(v) for v in _fractions(rows, qs, np.sqrt)]
+        total = out[lo:lo + BETA_CHUNK]
+        for *counts, mult in spec.density_terms:
+            acc = 0.0
+            for count, lg in zip(counts, logs):
+                if count:
+                    acc = acc + count * lg
+            total += mult * np.exp(acc)
+    return out.reshape(betas.shape + qs.shape)
 
 
 def clique_density(spec, beta: float) -> float:
@@ -176,13 +206,23 @@ def _q_grid():
     return qs, tuple(qs.tolist())
 
 
-def best_t_density(spec, beta: float) -> ProfilePoint:
+def best_t_density(spec, beta: float, ts=None) -> ProfilePoint:
     """Supremum of t(beta, q) over q in [0, 1].
 
-    Grid scan followed by golden-section refinement around every local
-    grid maximum; t(q) may be multimodal.  The reported q_star is the
-    smallest q whose value is within REL_TOL (relative) of the best; a tie
-    is flagged when a well-separated q attains the same value.
+    Grid scan followed by golden-section refinement around local grid
+    maxima; t(q) may be multimodal.  ts, when given, is this beta's row of
+    t_density_grid on the Q_GRID scan (density_curve passes the rows of one
+    batched pass).  The reported q_star is the smallest q whose value is
+    within REL_TOL (relative) of the best; a tie is flagged when a
+    well-separated q attains the same value.
+
+    The local maxima are refined in descending grid value, and one with
+    bracket [lo, hi] is skipped when the term sum at (y(hi), r(lo), b(lo)),
+    times 1 + 1e-9 for rounding, is below best * (1 - REL_TOL).  The skip
+    is exact: on [0, 1] y rises while r and b fall (b' = sqrt(beta)
+    (sqrt(beta) q/s - 1) <= 0, as s^2 = 1 - beta + beta q^2 >= beta q^2), so
+    no q in the bracket exceeds that sum, and best only grows, so the
+    skipped value could neither raise best nor reach the final threshold.
 
     Flat rule: when the whole grid lies within REL_TOL of its maximum
     (t = 1 at beta = 1 for every graph, t = beta for K2), every q attains
@@ -190,22 +230,32 @@ def best_t_density(spec, beta: float) -> ProfilePoint:
     refinement would only have chased float noise, so on flat profiles the
     value may differ from it by a few ulps; nothing printed changes.
     """
+    import numpy as np
+
     qs, qf = _q_grid()
-    ts = t_density_grid(spec, beta, qs)
+    if ts is None:
+        ts = t_density_grid(spec, beta, qs)
     top = float(ts.max())
     if ts.min() >= top * (1.0 - REL_TOL):
         return ProfilePoint(top, 0.0, True)
-    f = lambda q: t_density(spec, beta, q)
+    edge = np.full(1, -math.inf)
+    padded = np.concatenate((edge, ts, edge))
+    peaks = np.flatnonzero((ts >= padded[:-2]) & (ts >= padded[2:])).tolist()
     ts = ts.tolist()
-    candidates = [(0.0, ts[0]), (1.0, ts[-1])]
-    for i in range(Q_GRID + 1):
-        left = ts[i - 1] if i > 0 else -math.inf
-        right = ts[i + 1] if i < Q_GRID else -math.inf
-        if ts[i] >= left and ts[i] >= right:
-            candidates.append((qf[i], ts[i]))
-            candidates.append(_golden_max(f, qf[max(i - 1, 0)], qf[min(i + 1, Q_GRID)],
-                                          REFINE_TOL))
-    best = max(t for _, t in candidates)
+    peaks.sort(key=ts.__getitem__, reverse=True)
+    candidates = [(0.0, ts[0]), (1.0, ts[-1])] + [(qf[i], ts[i]) for i in peaks]
+    best = top
+    terms = spec.density_terms
+    f = lambda q: t_density(spec, beta, q)
+    for i in peaks:
+        lo, hi = qf[max(i - 1, 0)], qf[min(i + 1, Q_GRID)]
+        y = _fractions(beta, hi)[0]
+        _, r, b = _fractions(beta, lo)
+        if _term_sum(terms, y, r, b) * (1.0 + 1e-9) < best * (1.0 - REL_TOL):
+            continue
+        q, t = _golden_max(f, lo, hi, REFINE_TOL)
+        candidates.append((q, t))
+        best = max(best, t)
     threshold = best * (1.0 - REL_TOL) if best > 0.0 else 0.0
     attaining = sorted(q for q, t in candidates if t >= threshold)
     q_star = attaining[0]
@@ -224,9 +274,10 @@ def attribute_winner(f_T: float, t_star: float, t_clique: float) -> str:
     return "T"
 
 
-def curve_sample(spec, beta: float) -> CurveSample:
-    """The optimised profile, both endpoint hosts and the winner at one beta."""
-    prof = best_t_density(spec, beta)
+def curve_sample(spec, beta: float, ts=None) -> CurveSample:
+    """The optimised profile, both endpoint hosts and the winner at one
+    beta; ts as for best_t_density."""
+    prof = best_t_density(spec, beta, ts)
     t0 = star_density(spec, beta)
     t1 = clique_density(spec, beta)
     return CurveSample(beta=beta, f_T=prof.value, q_star=prof.q_star,
@@ -236,11 +287,14 @@ def curve_sample(spec, beta: float) -> CurveSample:
 
 
 def density_curve(spec, betas) -> DensityCurve:
-    """One curve_sample per beta of a strictly increasing grid."""
+    """One curve_sample per beta of a strictly increasing grid, their q
+    scans taken in one batched grid pass."""
     betas = list(betas)
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta grid must be strictly increasing")
-    return DensityCurve(samples=tuple(curve_sample(spec, beta) for beta in betas))
+    rows = t_density_grid(spec, betas, _q_grid()[0])
+    return DensityCurve(samples=tuple(curve_sample(spec, beta, ts)
+                                      for beta, ts in zip(betas, rows)))
 
 
 def _crossover_gap(spec, q1, q2):

@@ -227,12 +227,6 @@ def _copies(inj: int, aut: int) -> int:
     return inj // aut
 
 
-def copies_count(pattern: Graph, host: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    """Unlabelled copies: embeddings divided by the automorphism count."""
-    return _copies(injective_count(pattern, host, budget=budget),
-                   automorphism_count(pattern))
-
-
 def _census_sum(entries, sizes) -> int:
     """Census entries summed against falling factorials of the class sizes
     (|Y|, |R|, |B|) of a three-class host."""

@@ -40,11 +40,11 @@ from copymax.hosts import (
     automorphism_count,
     class_sizes,
     convergence_report,
-    copies_count,
     hom_count,
     injective_count,
     injective_count_from_spectrum,
     three_class_graph,
+    _copies,
 )
 from copymax.lp import duality_check
 from copymax.weightings import fractional_independence_number, spectrum
@@ -147,8 +147,9 @@ def test_criterion_08_oracle_identity(g6):
                     != injective_count_from_spectrum(spec, sizes)):
                 _report(8, False, f"mismatch for pattern v={pat.n} at {(beta, q, n)}")
             pairs += 1
-    c7 = copies_count(path_graph(4), cycle_graph(7))
-    k5 = copies_count(path_graph(4), complete_graph(5))
+    p4_aut = automorphism_count(path_graph(4))
+    c7 = _copies(injective_count(path_graph(4), cycle_graph(7)), p4_aut)
+    k5 = _copies(injective_count(path_graph(4), complete_graph(5)), p4_aut)
     ok = pairs >= 20 and c7 == 7 and k5 == 60
     _report(8, ok, f"{pairs} exact (pattern, host) identities; "
                    f"copies(P4,C7)={c7}, copies(P4,K5)={k5}")

@@ -261,7 +261,7 @@ def test_ex_counts_automorphisms_once(monkeypatch):
         calls.append(g.n)
         return counted(g)
 
-    # both names: ex's own, and the one hosts.copies_count reads
+    # both names: ex's own, and hosts' own, so a count made inside hosts shows too
     monkeypatch.setattr(classify, "automorphism_count", counting)
     monkeypatch.setattr(hosts, "automorphism_count", counting)
     best, host = exhaustive_ex(7, 12, builtin_graph("G6"))
@@ -282,7 +282,8 @@ def test_probe_counts_automorphisms_once(monkeypatch):
         calls.append(g.n)
         return counted(g)
 
-    # both names: the probe's own module, and the one hosts.copies_count reads
+    # both names: the probe's own module, and hosts' own, so a count made
+    # inside hosts shows too
     monkeypatch.setattr(classify, "automorphism_count", counting)
     monkeypatch.setattr(hosts, "automorphism_count", counting)
     probe = three_class_host_probe(7, 12, builtin_graph("G6"))

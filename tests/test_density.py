@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copymax import density
+from copymax import classify, density
 from copymax.density import (
+    BETA_CHUNK,
     Q_GRID,
     REL_TOL,
     attribute_winner,
@@ -78,6 +79,19 @@ def test_fraction_domain():
     for beta, q in ((-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1)):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             class_sizes(100, beta, q)
+
+
+def test_evaluators_refuse_the_same_inputs(g6_spec):
+    # NaN fails every comparison, so a min/max range check lets it through
+    nan = float("nan")
+    for beta, q in ((nan, 0.5), (0.5, nan), (-0.1, 0.5), (1.1, 0.5),
+                    (0.5, -0.1), (0.5, 1.1)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]") as scalar:
+            t_density(g6_spec, beta, q)
+        for betas, qs in ((beta, [q]), ([0.2, beta], [0.3, q])):
+            with pytest.raises(ValueError) as grid:
+                t_density_grid(g6_spec, betas, qs)
+            assert str(grid.value) == str(scalar.value)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +190,23 @@ def test_evaluators_match_reference(g, beta, qs):
         assert prof == ref
 
 
+small_betas = st.one_of(st.sampled_from([0.0, 1.0, 5e-324]),
+                        st.floats(min_value=0.0, max_value=1.0))
+
+
+@given(connected_graphs(max_v=7),
+       st.lists(small_betas, min_size=1, max_size=3 * BETA_CHUNK + 5),
+       st.lists(unit, min_size=1, max_size=9))
+@settings(max_examples=60, deadline=None)
+def test_batched_grid_rows_match_reference(g, betas, qs):
+    spec = spectrum(g)
+    for grid in (qs, np.linspace(0.0, 1.0, Q_GRID + 1)):
+        rows = t_density_grid(spec, betas, grid)
+        assert rows.shape == (len(betas), len(grid))
+        for beta, row in zip(betas, rows):
+            assert np.array_equal(row, ref_t_density_grid(spec, beta, grid))
+
+
 def test_density_grid_bits_on_short_arrays():
     # a pairwise row sum would move the last bits once a census has 8 or
     # more entries and the q array is short
@@ -223,14 +254,45 @@ def test_flat_rule_only_on_k2_and_beta_one():
     assert flat == {(write_graph6(g), 1.0) for g in graphs} | {(k2, b) for b in betas}
 
 
+def test_pruned_profiles_match_reference():
+    # the sweep's own route: batched grid rows, maxima refined highest
+    # first, brackets that cannot reach the threshold skipped
+    graphs = [*enumerate_connected_graphs(6)]
+    graphs += [clique_with_pendant_star(a, b) for a in (3, 4, 5) for b in (2, 3, 4)]
+    betas = classify.default_beta_grid()[::8]
+    checked = interior = 0
+    for g in graphs:
+        spec = spectrum(g)
+        for s in density_curve(spec, betas).samples:
+            if _flat(spec, s.beta):
+                continue
+            ref = ref_best_t_density(spec, s.beta)
+            assert (s.f_T, s.q_star, s.tie) == tuple(ref)
+            checked += 1
+            interior += s.winner == "T"
+    assert (checked, interior) == (2400, 74)
+
+
+def test_sweep_refinement_count(monkeypatch):
+    calls = []
+    counted = density.t_density
+
+    def counting(*args):
+        calls.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(density, "t_density", counting)
+    rows = classify.sweep_connected_graphs(4)
+    assert [r.pattern for r in rows] == ["K", "SK", "K", "SK", "K", "K", "K", "K", "K"]
+    # refining every local grid maximum took 70,618 calls
+    assert len(calls) == 46938
+
+
 def test_density_terms_built_once(g6_spec):
     terms = g6_spec.density_terms
     assert g6_spec.density_terms is terms
     assert len(terms) == len(g6_spec.entries)
     assert all(isinstance(t[3], float) for t in terms)
-    matrix = g6_spec.density_matrix
-    assert g6_spec.density_matrix is matrix and not matrix.flags.writeable
-    assert matrix.tolist() == [list(t) for t in terms]
 
 
 def test_density_monotone_in_beta(g6_spec):
