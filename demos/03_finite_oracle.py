@@ -63,6 +63,6 @@ result = convergence_report(g6, 0.2, Q, [30, 60, 120, 10 ** 3, 10 ** 6])
 t_ref = t_density(spec, 0.2, Q)
 print(f"  limit t = {t_ref:.8f}")
 print(f"  {'n':>7} {'inj/n^6':>12} {'gap':>10} {'n*gap':>7} {'(hom/inj-1)*n':>14}")
-for r in result.reports:
+for r in result:
     print(f"  {r.n:>7} {r.normalised:>12.8f} {r.gap:>10.2e} {r.n * r.gap:>7.4f} "
           f"{(r.hom - r.injective) * r.n / r.injective:>14.4f}")

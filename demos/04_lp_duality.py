@@ -39,7 +39,7 @@ def main():
         print(f"  primal optimum  {rep.primal}")
         print(f"  dual optimum    {rep.dual}")
         print(f"  v - eps(v - a*) {rep.formula}")
-        print(f"  witness x: {[str(v) for v in rep.witness_x.values()]}")
+        print(f"  witness x: {[str(v) for v in rep.x]}")
 
     print("exhaustive check over every connected graph on up to 5 vertices:")
     count = 0

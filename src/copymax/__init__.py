@@ -35,7 +35,6 @@ from .weightings import (
 )
 from .density import (
     CurveSample,
-    DensityCurve,
     ProfilePoint,
     attribute_winner,
     best_t_density,
@@ -55,7 +54,6 @@ from .lp import (
     primal_optimum_formula,
 )
 from .hosts import (
-    ConvergenceResult,
     CountBudgetExceeded,
     CountReport,
     automorphism_count,
@@ -78,7 +76,6 @@ from .classify import (
     q_star_curve,
     search_counterexamples,
     sweep_connected_graphs,
-    sweep_to_csv,
     three_class_host_probe,
 )
 

@@ -50,19 +50,6 @@ class TypeClassification:
     delta_bracket: tuple | None
     samples: tuple             # (beta, winner, q_star) per grid point
 
-    def to_json_dict(self):
-        return {
-            "graph6": self.graph_id,
-            "pattern": self.pattern,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "gamma_bracket": list(self.gamma_bracket) if self.gamma_bracket else None,
-            "delta_bracket": list(self.delta_bracket) if self.delta_bracket else None,
-            "samples": [
-                {"beta": b, "winner": w, "q_star": q} for b, w, q in self.samples
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class QStarCurve:
@@ -83,13 +70,6 @@ class SweepRow:
     pattern: str
     gamma: float | None
     delta: float | None
-
-    def to_csv_row(self):
-        gamma = f"{self.gamma:.12g}" if self.gamma is not None else ""
-        delta = f"{self.delta:.12g}" if self.delta is not None else ""
-        return (f"{self.graph6},{self.v},{self.e},{self.alpha},"
-                f"{self.alpha_star},{self.max_independent_sets},"
-                f"{self.pattern},{gamma},{delta}")
 
 
 def default_beta_grid():
@@ -125,7 +105,7 @@ def classify_type(g: Graph, tol: float = 1e-6) -> TypeClassification:
 
 def _classify(g, spec, tol):
     samples = [(s.beta, s.winner, s.q_star)
-               for s in density_curve(spec, default_beta_grid()).samples]
+               for s in density_curve(spec, default_beta_grid())]
     runs = [samples[0][1]]
     changes = []                     # (index before change)
     for i in range(1, len(samples)):
@@ -164,7 +144,7 @@ def q_star_curve(g: Graph, betas=None) -> QStarCurve:
     spec = spectrum(g)
     if betas is None:
         betas = default_beta_grid()
-    samples = [(s.beta, s.q_star, s.tie) for s in density_curve(spec, betas).samples]
+    samples = [(s.beta, s.q_star, s.tie) for s in density_curve(spec, betas)]
     # a tied sample (every q optimal, as at beta = 1) has no argmax to
     # compare, so each untied q_star is checked against the previous untied one
     untied = [(beta, q) for beta, q, tie in samples if not tie]
@@ -231,12 +211,6 @@ def sweep_connected_graphs(max_v: int):
     return rows
 
 
-def sweep_to_csv(rows) -> str:
-    lines = ["graph6,v,e,alpha,alpha_star,A,pattern,gamma,delta"]
-    lines += [r.to_csv_row() for r in rows]
-    return "\n".join(lines) + "\n"
-
-
 def exhaustive_ex(n: int, e: int, pattern: Graph, budget: int = DEFAULT_BUDGET):
     """Exact maximum of the copy count over all hosts with n vertices and at
     most e edges, by exhausting isomorphism classes.
@@ -251,6 +225,8 @@ def exhaustive_ex(n: int, e: int, pattern: Graph, budget: int = DEFAULT_BUDGET):
 
 def _exhaustive_ex(n, e, pattern, budget):
     """exhaustive_ex's (count, host), with the pattern's |Aut| it divided by."""
+    if n < 1:
+        raise ValueError(f"host needs at least 1 vertex, got n = {n}")
     if n > MAX_ENUMERATION:
         raise ValueError(f"exhaustive search limited to {MAX_ENUMERATION} vertices")
     if e < 0:

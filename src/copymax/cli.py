@@ -1,7 +1,11 @@
 """Command-line surface emitting reproducible CSV/JSON artifacts.
 
-Identical invocations produce byte-identical output: floats are printed
-with 12 significant digits and all iteration orders are deterministic.
+This is the only module that turns results into text: the numeric layers
+return plain records (dataclasses, tuples of them, Fractions, ints and
+floats), and each subcommand below builds its own CSV rows or JSON dict
+from them, labels included.  Identical invocations produce byte-identical
+output: CSV floats are printed with 12 significant digits and all
+iteration orders are deterministic.
 Exit codes: 0 success, 2 invalid input, 3 counting budget exceeded (the
 backtracking search of ``ex --budget``).
 """
@@ -27,6 +31,15 @@ from .graphs import (
 
 def _fmt(x):
     return f"{x:.12g}"
+
+
+def _csv(header, rows):
+    """CSV text: a float field through _fmt, None as an empty field, any
+    other field as str."""
+    lines = [header]
+    lines += [",".join("" if x is None else _fmt(x) if isinstance(x, float) else str(x)
+                       for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _parse_q(text):
@@ -110,7 +123,13 @@ def cmd_analyze(args):
             "q": q,
             "value": float(spec.interior_limit_constant(q)),
         },
-        "spectrum": spec.to_json_dict(),
+        "spectrum": {
+            "v": spec.v,
+            "alpha": spec.alpha,
+            "alpha_star": str(spec.alpha_star),
+            "entries": [{"r": r, "y": y, "b": b, "mult": m}
+                        for (r, y, b), m in spec.entries],
+        },
     }
     return _json_text(out)
 
@@ -120,7 +139,9 @@ def cmd_profile(args):
     spec = weightings.spectrum(g)
     betas = (_parse_beta_range(args.beta) if args.beta is not None
              else cls.default_beta_grid())
-    return density.density_curve(spec, betas).to_csv()
+    return _csv("beta,f_T,q_star,t_S,t_K,winner",
+                ((s.beta, s.f_T, s.q_star, s.t_star, s.t_clique, s.winner)
+                 for s in density.density_curve(spec, betas)))
 
 
 def cmd_crossover(args):
@@ -146,17 +167,33 @@ def cmd_crossover(args):
 
 def cmd_classify(args):
     g = _load_graph(args)
-    return _json_text(cls.classify_type(g, tol=args.tol).to_json_dict())
+    c = cls.classify_type(g, tol=args.tol)
+    out = {
+        "graph6": c.graph_id,
+        "pattern": c.pattern,
+        "gamma": c.gamma,
+        "delta": c.delta,
+        "gamma_bracket": list(c.gamma_bracket) if c.gamma_bracket else None,
+        "delta_bracket": list(c.delta_bracket) if c.delta_bracket else None,
+        "samples": [{"beta": b, "winner": w, "q_star": q} for b, w, q in c.samples],
+    }
+    return _json_text(out)
 
 
 def cmd_classify_all(args):
-    return cls.sweep_to_csv(cls.sweep_connected_graphs(args.max_v))
+    return _csv("graph6,v,e,alpha,alpha_star,A,pattern,gamma,delta",
+                ((r.graph6, r.v, r.e, r.alpha, r.alpha_star, r.max_independent_sets,
+                  r.pattern, r.gamma, r.delta)
+                 for r in cls.sweep_connected_graphs(args.max_v)))
 
 
 def cmd_oracle(args):
     g = _load_graph(args)
     q, n_list = _parse_q(args.q), _parse_n_list(args.n_list)
-    return hosts.convergence_report(g, args.beta, q, n_list).to_csv()
+    return _csv("n,beta,q,hom,injective,copies,normalised,t_reference,gap",
+                ((r.n, r.beta, r.q, r.hom, r.injective, r.copies, r.normalised,
+                  r.t_reference, r.gap)
+                 for r in hosts.convergence_report(g, args.beta, q, n_list)))
 
 
 def cmd_search(args):
@@ -172,8 +209,18 @@ def cmd_search(args):
 
 def cmd_lp(args):
     g = _load_graph(args)
-    report = lp.duality_check(g, Fraction(args.epsilon))
-    return _json_text(report.to_json_dict())
+    rep = lp.duality_check(g, Fraction(args.epsilon))
+    out = {
+        "primal": str(rep.primal),
+        "dual": str(rep.dual),
+        "formula": str(rep.formula),
+        "witness_x": {f"x{u + 1}": str(x) for u, x in enumerate(rep.x)},
+        "witness_yz": {
+            "y": {f"{a + 1}-{b + 1}": str(y) for (a, b), y in zip(g.edges, rep.y)},
+            "z": {f"{u + 1}": str(z) for u, z in enumerate(rep.z)},
+        },
+    }
+    return _json_text(out)
 
 
 def cmd_ex(args):

@@ -63,20 +63,6 @@ class CurveSample:
     tie: bool          # another q far from q_star also attains f_T
 
 
-@dataclass(frozen=True)
-class DensityCurve:
-    samples: tuple
-
-    def to_csv(self) -> str:
-        lines = ["beta,f_T,q_star,t_S,t_K,winner"]
-        for s in self.samples:
-            lines.append(
-                f"{s.beta:.12g},{s.f_T:.12g},{s.q_star:.12g},"
-                f"{s.t_star:.12g},{s.t_clique:.12g},{s.winner}"
-            )
-        return "\n".join(lines) + "\n"
-
-
 def _check_range(beta, q):
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
@@ -286,19 +272,22 @@ def curve_sample(spec, beta: float, ts=None) -> CurveSample:
                        tie=prof.tie)
 
 
-def density_curve(spec, betas) -> DensityCurve:
-    """One curve_sample per beta of a strictly increasing grid, their q
+def density_curve(spec, betas) -> tuple:
+    """One CurveSample per beta of a strictly increasing grid, their q
     scans taken in one batched grid pass."""
     betas = list(betas)
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta grid must be strictly increasing")
     rows = t_density_grid(spec, betas, _q_grid()[0])
-    return DensityCurve(samples=tuple(curve_sample(spec, beta, ts)
-                                      for beta, ts in zip(betas, rows)))
+    return tuple(curve_sample(spec, beta, ts) for beta, ts in zip(betas, rows))
 
 
 def _crossover_gap(spec, q1, q2):
-    """beta -> t(beta, q1) - t(beta, q2), whose root is the crossover."""
+    """beta -> t(beta, q1) - t(beta, q2), whose root is the crossover.
+    Equal q values make the gap 0 at every beta, so there is no crossover
+    to find."""
+    if q1 == q2:
+        raise ValueError(f"q1 and q2 must differ, both are {q1}")
     return lambda beta: t_density(spec, beta, q1) - t_density(spec, beta, q2)
 
 

@@ -55,21 +55,6 @@ class CountReport:
     t_reference: float
     gap: float
 
-    def to_csv_row(self):
-        return (f"{self.n},{self.beta:.12g},{self.q:.12g},{self.hom},"
-                f"{self.injective},{self.copies},{self.normalised:.12g},"
-                f"{self.t_reference:.12g},{self.gap:.12g}")
-
-
-@dataclass(frozen=True)
-class ConvergenceResult:
-    reports: tuple
-
-    def to_csv(self):
-        lines = ["n,beta,q,hom,injective,copies,normalised,t_reference,gap"]
-        lines += [r.to_csv_row() for r in self.reports]
-        return "\n".join(lines) + "\n"
-
 
 def three_class_graph(ny: int, nr: int, nb: int) -> Graph:
     """Y and R cliques, B independent, R complete to both, no Y-B edges."""
@@ -302,9 +287,10 @@ def hom_count_from_partitions(pattern: Graph, sizes) -> int:
 
 
 def convergence_report(pattern: Graph, beta: float, q: float,
-                       n_list) -> ConvergenceResult:
-    """Exact counts against the limiting density for growing host sizes,
-    by the census route: only the class sizes of each host are formed."""
+                       n_list) -> tuple:
+    """One CountReport per host size: exact counts against the limiting
+    density, by the census route (only the class sizes of each host are
+    formed)."""
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
@@ -324,4 +310,4 @@ def convergence_report(pattern: Graph, beta: float, q: float,
             normalised=normalised, t_reference=t_ref,
             gap=abs(normalised - t_ref),
         ))
-    return ConvergenceResult(reports=tuple(reports))
+    return tuple(reports)

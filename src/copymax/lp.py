@@ -40,20 +40,9 @@ class DualityReport:
     primal: Fraction
     dual: Fraction
     formula: Fraction
-    witness_x: dict
-    witness_yz: dict
-
-    def to_json_dict(self):
-        return {
-            "primal": str(self.primal),
-            "dual": str(self.dual),
-            "formula": str(self.formula),
-            "witness_x": {k: str(v) for k, v in self.witness_x.items()},
-            "witness_yz": {
-                "y": {k: str(v) for k, v in self.witness_yz["y"].items()},
-                "z": {k: str(v) for k, v in self.witness_yz["z"].items()},
-            },
-        }
+    x: tuple                   # primal witness, one value per vertex
+    y: tuple                   # dual edge weights, in g.edges order
+    z: tuple                   # dual vertex weights, one per vertex
 
 
 def _as_eps(eps) -> Fraction:
@@ -127,7 +116,8 @@ def _solve_cover(g: Graph, eps):
 # closed form, witnesses and the duality report
 
 def primal_optimum_formula(g: Graph, eps):
-    """Closed-form optimum v - eps (v - alpha*) with its witness point.
+    """Closed-form optimum v - eps (v - alpha*) with its witness point, a
+    tuple with one value per vertex.
 
     The witness x_u = 1 - eps (1 - phi(u)) is primal-feasible, and the value
     matches the LP optimum, exactly when eps <= 1.
@@ -135,10 +125,7 @@ def primal_optimum_formula(g: Graph, eps):
     eps = _as_eps(eps)
     phi = maximal_weighting(g)
     alpha_star = Fraction(sum(phi), 2)
-    witness = {
-        f"x{u + 1}": 1 - eps * (1 - Fraction(phi[u], 2))
-        for u in range(g.n)
-    }
+    witness = tuple(1 - eps * (1 - Fraction(w, 2)) for w in phi)
     value = g.n - eps * (g.n - alpha_star)
     return value, witness
 
@@ -157,8 +144,7 @@ def duality_check(g: Graph, eps) -> DualityReport:
                          "does not equal the LP optimum beyond that")
     if g.n + g.edge_count > MAX_LP_VARIABLES:
         raise ValueError("LP exceeds the supported (small, dense) size")
-    formula, witness_x = primal_optimum_formula(g, eps)
-    x = [witness_x[f"x{u + 1}"] for u in range(g.n)]
+    formula, x = primal_optimum_formula(g, eps)
     if any(not F0 <= xi <= F1 for xi in x):
         raise DualityMismatchError("formula witness leaves the unit box")
     if any(x[a] + x[b] > 2 - eps for a, b in g.edges):
@@ -176,14 +162,5 @@ def duality_check(g: Graph, eps) -> DualityReport:
         raise DualityMismatchError("simplex returned an infeasible cover")
     if dual != formula:
         raise DualityMismatchError(f"dual {dual} / formula {formula}")
-    yz = {
-        "y": {f"{a + 1}-{b + 1}": yk for (a, b), yk in zip(g.edges, y)},
-        "z": {f"{u + 1}": z[u] for u in range(g.n)},
-    }
-    return DualityReport(
-        primal=sum(x),
-        dual=dual,
-        formula=formula,
-        witness_x=witness_x,
-        witness_yz=yz,
-    )
+    return DualityReport(primal=sum(x), dual=dual, formula=formula,
+                         x=x, y=tuple(y), z=tuple(z))

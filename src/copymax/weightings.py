@@ -83,17 +83,6 @@ class WeightingSpectrum:
                 out += count * ((1.0 - q * q) / 2.0) ** i * q ** (int(two_exp) - 2 * i)
         return out
 
-    def to_json_dict(self):
-        return {
-            "v": self.v,
-            "alpha": self.alpha,
-            "alpha_star": str(self.alpha_star),
-            "entries": [
-                {"r": r, "y": y, "b": b, "mult": m}
-                for (r, y, b), m in self.entries
-            ],
-        }
-
 
 def _moves(later, half, zero):
     """(weight in halves, caps left on the later vertices) for every weight

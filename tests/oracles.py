@@ -272,6 +272,12 @@ def ref_simplex_max(c, A, b):
     return bottom[-1], x
 
 
+def random_graph(rng, n, p=0.5):
+    """G(n, p) from a random.Random: each pair an edge with probability p."""
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+    return Graph(n, edges)
+
+
 def disjoint_union(a, b):
     edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
     return Graph(a.n + b.n, edges)

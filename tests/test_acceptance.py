@@ -158,10 +158,10 @@ def test_criterion_08_oracle_identity(g6):
 def test_criterion_09_convergence(g6):
     beta, q = 0.2, Q_HALF
     result = convergence_report(g6, beta, q, [30, 60, 120])
-    gaps = [r.gap for r in result.reports]
+    gaps = [r.gap for r in result]
     decreasing = gaps[0] > gaps[1] > gaps[2]
-    c_fit = max(r.n * r.gap for r in result.reports)
-    bounded = all(r.gap <= c_fit / r.n * (1 + 1e-12) for r in result.reports)
+    c_fit = max(r.n * r.gap for r in result)
+    bounded = all(r.gap <= c_fit / r.n * (1 + 1e-12) for r in result)
 
     # hom(F, G) = sum over partitions P of V(F) into independent blocks of
     # inj(F/P, G), so hom/inj - 1 = C/n + O(1/n^2) with C the sum of
@@ -174,17 +174,17 @@ def test_criterion_09_convergence(g6):
     identity_ok = all(
         r.hom == sum(injective_count_from_spectrum(spec, class_sizes(r.n, beta, q))
                      for _, spec in quotients)
-        for r in result.reports)
+        for r in result)
     # the report counts by the census; backtracking on the built host is
     # the ground truth it must meet
-    host_of = {r.n: three_class_graph(*class_sizes(r.n, beta, q)) for r in result.reports}
+    host_of = {r.n: three_class_graph(*class_sizes(r.n, beta, q)) for r in result}
     search_ok = all(r.hom == hom_count(g6, host_of[r.n])
                     and r.injective == injective_count(g6, host_of[r.n])
-                    for r in result.reports)
+                    for r in result)
 
-    scaled = [(r.hom - r.injective) / r.injective * r.n for r in result.reports]
+    scaled = [(r.hom - r.injective) / r.injective * r.n for r in result]
     excess = [s - c_inf for s in scaled]
-    n_excess = [r.n * e for r, e in zip(result.reports, excess)]
+    n_excess = [r.n * e for r, e in zip(result, excess)]
     ratio_ok = (all(e > 0.0 for e in excess)
                 and all(a > b for a, b in zip(scaled, scaled[1:]))
                 and all(a >= b for a, b in zip(n_excess, n_excess[1:])))

@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from copymax import classify, hosts
+from copymax.cli import main
 from copymax.classify import (
     _predicted_start,
     classify_type,
@@ -13,7 +15,6 @@ from copymax.classify import (
     q_star_curve,
     search_counterexamples,
     sweep_connected_graphs,
-    sweep_to_csv,
     three_class_host_probe,
 )
 from copymax.graphs import (
@@ -82,8 +83,9 @@ def test_classify_requires_connected():
         classify_type(parse_edge_list("n=4;1-2"))
 
 
-def test_classification_json(g6):
-    d = classify_type(g6).to_json_dict()
+def test_classification_json(capsys):
+    assert main(["classify", "--builtin", "G6"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert d["pattern"] == "TK"
     assert d["gamma"] is not None and d["delta"] is None
     assert {"beta", "winner", "q_star"} <= set(d["samples"][0])
@@ -157,7 +159,7 @@ def test_k4_not_a_counterexample():
 # ---------------------------------------------------------------------------
 # sweep
 
-def test_sweep_small():
+def test_sweep_small(monkeypatch, capsys):
     rows = sweep_connected_graphs(4)
     assert len(rows) == 9
     assert all(r.pattern.endswith("K") for r in rows)
@@ -167,9 +169,14 @@ def test_sweep_small():
             assert r.gamma is not None
         # start of the numeric pattern matches the exponent prediction
         assert r.pattern[0] == r.predicted_start
-    csv = sweep_to_csv(rows)
+    # the CLI prints these rows, one line each
+    monkeypatch.setattr(classify, "sweep_connected_graphs", lambda max_v: rows)
+    assert main(["classify-all", "--max-v", "4"]) == 0
+    csv = capsys.readouterr().out
     assert csv.startswith("graph6,v,e,alpha,alpha_star,A,pattern,gamma,delta\n")
     assert len(csv.strip().split("\n")) == 10
+    assert [ln.split(",")[0] for ln in csv.strip().split("\n")[1:]] == \
+        [r.graph6 for r in rows]
 
 
 def test_sweep_builds_each_census_once(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -183,6 +184,30 @@ def test_lp_refuses_oversized_program():
     # K9 has 9 + 36 = 45 dual variables, past the 40 the dense simplex takes
     cp = run_cli("lp", "--builtin", "K9", "--epsilon", "1", expect=2, timeout=30)
     assert "LP exceeds the supported (small, dense) size" in cp.stderr
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_ex_refuses_empty_host(n):
+    # refused before the class enumeration, whose numpy reshape used to fail
+    cp = run_cli("ex", "--builtin", "K3", "--n", n, "--e", "0", expect=2)
+    assert f"host needs at least 1 vertex, got n = {n}" in cp.stderr
+    assert "reshape" not in cp.stderr and "dimension" not in cp.stderr
+
+
+@pytest.mark.parametrize("bracket", [(), ("--bracket", "0.1:0.2")],
+                         ids=["scan", "bracket"])
+def test_crossover_refuses_equal_q(bracket):
+    cp = run_cli("crossover", "--builtin", "G6", "--q1", "0.5", "--q2", "0.5",
+                 *bracket, expect=2)
+    assert "q1 and q2 must differ, both are 0.5" in cp.stderr
+
+
+def test_only_cli_formats_text():
+    # the numeric layers return records; cli.py alone prints them
+    offenders = [path.name for path in sorted((ROOT / "src" / "copymax").glob("*.py"))
+                 if path.name != "cli.py"
+                 and re.search(r"\bdumps\b|\.12g", path.read_text())]
+    assert offenders == []
 
 
 def test_ex_command():

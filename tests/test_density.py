@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copymax import classify, density
+from copymax.cli import main
 from copymax.density import (
     BETA_CHUNK,
     Q_GRID,
@@ -263,7 +264,7 @@ def test_pruned_profiles_match_reference():
     checked = interior = 0
     for g in graphs:
         spec = spectrum(g)
-        for s in density_curve(spec, betas).samples:
+        for s in density_curve(spec, betas):
             if _flat(spec, s.beta):
                 continue
             ref = ref_best_t_density(spec, s.beta)
@@ -402,6 +403,15 @@ def test_crossover_requires_sign_change(g6_spec):
         crossover_beta(g6_spec, 1.0, Q_HALF, (0.5, 0.9))
 
 
+def test_crossover_refuses_equal_q(g6_spec):
+    # the gap is identically 0: the bracket scan and the bisection each
+    # used to report a phantom root (9.9e-07, or the bracket's lo end)
+    with pytest.raises(ValueError, match="q1 and q2 must differ"):
+        crossover_bracket(g6_spec, 0.5, 0.5)
+    with pytest.raises(ValueError, match="q1 and q2 must differ"):
+        crossover_beta(g6_spec, 0.5, 0.5, (0.1, 0.2))
+
+
 def test_exponents(g6_spec):
     # the census gives the vanishing-beta exponents exactly; the log-log
     # fit is the numeric check of each
@@ -416,15 +426,20 @@ def test_exponents(g6_spec):
 # ---------------------------------------------------------------------------
 # curves
 
-def test_density_curve_csv(g6_spec):
-    curve = density_curve(g6_spec, [0.005, 0.01, 0.5])
-    text = curve.to_csv()
+def test_density_curve_csv(g6_spec, monkeypatch, capsys):
+    # profile prints one line per CurveSample of its beta grid
+    betas = [0.005, 0.01, 0.5]
+    curve = density_curve(g6_spec, betas)
+    monkeypatch.setattr(classify, "default_beta_grid", lambda: betas)
+    assert main(["profile", "--builtin", "G6"]) == 0
+    text = capsys.readouterr().out
     lines = text.strip().split("\n")
     assert lines[0] == "beta,f_T,q_star,t_S,t_K,winner"
     assert len(lines) == 4
     assert lines[1].startswith("0.005,")
     winners = [ln.split(",")[-1] for ln in lines[1:]]
     assert winners[0] == "T" and winners[-1] == "K"
+    assert winners == [s.winner for s in curve]
 
 
 def test_curve_sample_matches_parts(g6_spec):

@@ -31,15 +31,11 @@ from copymax.weightings import spectrum
 from oracles import (
     are_isomorphic,
     disjoint_union,
+    random_graph,
     ref_automorphism_count,
     ref_graph_classes,
     ref_independent_counts,
 )
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------

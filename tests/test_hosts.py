@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import time
@@ -8,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copymax import hosts
+from copymax.cli import main
 from copymax.density import t_density
 from copymax.graphs import (
     Graph,
@@ -31,6 +31,7 @@ from copymax.hosts import (
 )
 from copymax.weightings import spectrum
 from oracles import (
+    random_graph,
     ref_hom_count,
     ref_independent_partitions,
     ref_quotient,
@@ -39,11 +40,6 @@ from oracles import (
 from test_graphs import graphs_without_isolated_vertices, small_graphs
 
 Q_HALF = 1.0 / math.sqrt(2.0)
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +275,9 @@ def test_spectrum_route_k2_is_twice_edges():
 
 def test_convergence_report_p2():
     result = convergence_report(path_graph(2), 0.2, Q_HALF, [20, 40, 80])
-    gaps = [r.gap for r in result.reports]
+    gaps = [r.gap for r in result]
     assert gaps[0] > gaps[1] > gaps[2]
-    for r in result.reports:
+    for r in result:
         assert r.hom >= r.injective
         assert r.normalised == pytest.approx(r.injective / r.n ** 3, rel=1e-12)
         assert r.t_reference == pytest.approx(
@@ -290,22 +286,27 @@ def test_convergence_report_p2():
 
 def test_convergence_zero_density(g6):
     result = convergence_report(g6, 0.0, 0.5, [10, 20])
-    assert all(r.injective == 0 and r.hom == 0 for r in result.reports)
+    assert all(r.injective == 0 and r.hom == 0 for r in result)
 
 
 def test_convergence_k2_clique_host():
     # a clique host makes the gap a pure rounding effect: within 2/n
     result = convergence_report(complete_graph(2), 0.5, 1.0, [50, 100])
-    for r in result.reports:
+    for r in result:
         assert r.gap <= 2.0 / r.n
 
 
-def test_convergence_csv_format():
+def test_convergence_csv_format(capsys):
     result = convergence_report(complete_graph(2), 0.5, 1.0, [50, 100])
-    lines = result.to_csv().strip().split("\n")
+    assert main(["oracle", "--builtin", "K2", "--beta", "0.5", "--q", "1",
+                 "--n-list", "50,100"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "n,beta,q,hom,injective,copies,normalised,t_reference,gap"
     assert len(lines) == 3
     assert lines[1].startswith("50,0.5,1,")
+    # the printed counts are the returned records' exact integers
+    assert [ln.split(",")[3:6] for ln in lines[1:]] == \
+        [[str(r.hom), str(r.injective), str(r.copies)] for r in result]
 
 
 def test_convergence_at_a_million_vertices(g6, monkeypatch):
@@ -318,7 +319,7 @@ def test_convergence_at_a_million_vertices(g6, monkeypatch):
     c_inf = sum(t_density(spectrum(Graph(*ref_quotient(g6, p))), beta, Q_HALF) / t_f
                 for p in ref_independent_partitions(g6) if len(p) == g6.n - 1)
     start = time.perf_counter()
-    (r,) = convergence_report(g6, beta, Q_HALF, [n]).reports
+    (r,) = convergence_report(g6, beta, Q_HALF, [n])
     assert time.perf_counter() - start < 5.0
     assert abs((r.hom - r.injective) * n / r.injective - c_inf) < 1e-3
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from copymax import lp
+from copymax.cli import main
 from copymax.graphs import (
     complete_graph,
     cycle_graph,
@@ -45,7 +47,7 @@ def covering_program(g, eps):
 def test_formula_values(g6):
     value, witness = primal_optimum_formula(g6, Fraction(1, 10))
     assert value == Fraction(23, 4)
-    assert witness["x5"] == 1 and witness["x6"] == 1
+    assert witness[4] == 1 and witness[5] == 1
     value, _ = primal_optimum_formula(complete_graph(2), Fraction(3, 7))
     assert value == 2 - Fraction(3, 7)
     # eps -> 0 recovers the vertex count
@@ -69,7 +71,7 @@ def test_dual_k2():
     rep = duality_check(complete_graph(2), Fraction(1, 10))
     assert rep.dual == Fraction(19, 10)
     # the optimum is attained with the single edge covering both vertices
-    assert rep.witness_yz == {"y": {"1-2": 1}, "z": {"1": 0, "2": 0}}
+    assert (rep.y, rep.z) == ((1,), (0, 0))
 
 
 def test_duality_check_values(g6):
@@ -87,8 +89,9 @@ def test_duality_check_star15():
     assert rep.primal == rep.dual == rep.formula == Fraction(31, 2)
 
 
-def test_duality_json_schema(g6):
-    d = duality_check(g6, Fraction(1, 10)).to_json_dict()
+def test_duality_json_schema(capsys):
+    assert main(["lp", "--builtin", "G6", "--epsilon", "1/10"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert d["primal"] == d["dual"] == d["formula"] == "23/4"
     assert set(d) == {"primal", "dual", "formula", "witness_x", "witness_yz"}
     assert set(d["witness_yz"]) == {"y", "z"}
@@ -135,8 +138,9 @@ def test_cover_matches_two_phase_reference(g, eps):
 @settings(max_examples=100, deadline=None)
 def test_certificate_on_random_graphs(g, eps):
     rep = duality_check(g, eps)
-    y = {tuple(int(u) - 1 for u in k.split("-")): yk for k, yk in rep.witness_yz["y"].items()}
-    z = [rep.witness_yz["z"][f"{u + 1}"] for u in range(g.n)]
+    assert len(rep.x) == len(rep.z) == g.n and len(rep.y) == g.edge_count
+    y = dict(zip(g.edges, rep.y))
+    z = rep.z
     assert all(t >= 0 for t in [*y.values(), *z])
     assert all(z[u] + sum(yk for e, yk in y.items() if u in e) >= 1 for u in range(g.n))
     cost = sum(z) + (2 - eps) * sum(y.values())

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copymax.cli import main
 from copymax.graphs import (
     Graph,
     clique_with_pendant_star,
@@ -26,12 +28,12 @@ from copymax.weightings import (
     _census,
     _unpack,
 )
-from oracles import ref_independent_counts, ref_interior_limit_constant, ref_weightings
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Graph(n, edges)
+from oracles import (
+    random_graph,
+    ref_independent_counts,
+    ref_interior_limit_constant,
+    ref_weightings,
+)
 
 
 def signature(halves):
@@ -238,8 +240,9 @@ def test_interior_limit_constant_domain(g6_spec):
             g6_spec.interior_limit_constant(q)
 
 
-def test_spectrum_json_schema(g6_spec):
-    d = g6_spec.to_json_dict()
+def test_spectrum_json_schema(capsys):
+    assert main(["analyze", "--builtin", "G6"]) == 0
+    d = json.loads(capsys.readouterr().out)["spectrum"]
     assert d["v"] == 6 and d["alpha"] == 3 and d["alpha_star"] == "7/2"
     assert {"r": 6, "y": 0, "b": 0, "mult": 1} in d["entries"]
     assert sum(e["mult"] for e in d["entries"]) == 145
