@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .density import curve_sample, density_curve
+from .density import bisect_side, curve_sample, density_curve, side_changes
 from .graphs import (
     MAX_ENUMERATION,
     Graph,
@@ -81,20 +81,6 @@ def default_beta_grid():
     return [float(b) for b in np.unique(grid)]
 
 
-def _refine_boundary(spec, lo, hi, left_winner, tol):
-    """Bisect the winner change inside (lo, hi) to absolute tolerance tol,
-    or until lo and hi are adjacent floats."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if curve_sample(spec, mid).winner == left_winner:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), (lo, hi)
-
-
 def classify_type(g: Graph, tol: float = 1e-6) -> TypeClassification:
     if not tol > 0.0:                 # NaN included
         raise ValueError("tol must be positive")
@@ -106,24 +92,22 @@ def classify_type(g: Graph, tol: float = 1e-6) -> TypeClassification:
 def _classify(g, spec, tol):
     samples = [(s.beta, s.winner, s.q_star)
                for s in density_curve(spec, default_beta_grid())]
-    runs = [samples[0][1]]
-    changes = []                     # (index before change)
-    for i in range(1, len(samples)):
-        if samples[i][1] != runs[-1]:
-            runs.append(samples[i][1])
-            changes.append(i - 1)
-    seq = "".join(runs)
+    winners = [w for _, w, _ in samples]
+    changes = list(side_changes(winners))
+    seq = "".join([winners[0]] + [winners[i + 1] for i in changes])
     graph_id = write_graph6(g)
+
+    def boundary(i):
+        # the grid already gave the winner at samples[i], so it is passed in
+        return bisect_side(lambda beta: curve_sample(spec, beta).winner,
+                           samples[i][0], samples[i + 1][0], winners[i], tol)
+
     gamma = delta = None
     gamma_bracket = delta_bracket = None
     if seq in ("SK", "TK", "STK"):
-        gamma, gamma_bracket = _refine_boundary(
-            spec, samples[changes[0]][0], samples[changes[0] + 1][0],
-            runs[0], tol)
+        gamma, gamma_bracket = boundary(changes[0])
         if seq == "STK":
-            delta, delta_bracket = _refine_boundary(
-                spec, samples[changes[1]][0], samples[changes[1] + 1][0],
-                runs[1], tol)
+            delta, delta_bracket = boundary(changes[1])
     pattern = seq if seq in ("K", "SK", "TK", "STK") else "OTHER"
     return TypeClassification(
         graph_id=graph_id, pattern=pattern,

@@ -22,14 +22,12 @@ density curve scans its betas in one pass per BETA_CHUNK rows, each row
 with the bits of a one-beta scan.
 
 The supremum over q is a grid scan plus golden-section refinement of the
-local grid maxima, highest first, skipping a maximum whose bracket
-[lo, hi] cannot reach the best value so far: y rises in q while r and b
-fall (b' = sqrt(beta)(sqrt(beta) q/s - 1) <= 0, as s >= sqrt(beta) q), so
-the term sum at (y(hi), r(lo), b(lo)) bounds t on the bracket.  On flat
-profiles (the grid within REL_TOL of its maximum: beta = 1 for every
-graph, every beta for K2) every q attains the sup and no refinement runs.
-There f_T is the grid maximum, which may differ by a few ulps from what
-refinement would have reported; no printed output changes.
+local grid maxima, skipping those that provably cannot reach the best
+value so far (best_t_density gives the rule and its proof).
+
+Every beta boundary (the S/T/K winner changes and the crossover of two q
+values) is found by one search: side_changes scans a grid for the first
+change of a side function, and bisect_side bisects that change.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import pairwise
 from typing import NamedTuple
 
 REL_TOL = 1e-12        # relative tolerance for "attains the supremum"
@@ -282,57 +281,66 @@ def density_curve(spec, betas) -> tuple:
     return tuple(curve_sample(spec, beta, ts) for beta, ts in zip(betas, rows))
 
 
-def _crossover_gap(spec, q1, q2):
-    """beta -> t(beta, q1) - t(beta, q2), whose root is the crossover.
-    Equal q values make the gap 0 at every beta, so there is no crossover
-    to find."""
-    if q1 == q2:
-        raise ValueError(f"q1 and q2 must differ, both are {q1}")
-    return lambda beta: t_density(spec, beta, q1) - t_density(spec, beta, q2)
+def side_changes(sides):
+    """Each i at which sides[i + 1] differs from sides[i], read lazily: a
+    caller that stops at the first change evaluates no side past it."""
+    return (i for i, (a, b) in enumerate(pairwise(sides)) if a != b)
 
 
-def crossover_bracket(spec, q1: float, q2: float):
-    """First sign change of t(., q1) - t(., q2) on a 400-point geometric
-    grid over [1e-6, 1], as a bracket for crossover_beta."""
-    import numpy as np
-
-    f = _crossover_gap(spec, q1, q2)
-    prev_b, prev_f = None, None
-    for b in np.geomspace(1e-6, 1.0, 400).tolist():
-        val = f(b)
-        if val == 0.0:
-            return (b * 0.99, min(b * 1.01, 1.0))
-        if prev_f is not None and (val > 0.0) != (prev_f > 0.0):
-            return (prev_b, b)
-        prev_b, prev_f = b, val
-    raise ValueError("no crossover found on (1e-6, 1); give --bracket explicitly")
-
-
-def crossover_beta(spec, q1: float, q2: float, bracket, tol: float = 1e-6) -> float:
-    """Bisection root of t(., q1) - t(., q2) on the bracket, to absolute
-    tolerance tol on beta or until lo and hi are adjacent floats."""
-    lo, hi = bracket
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ValueError(f"bad bracket {bracket}")
-    if not tol > 0.0:                 # NaN included
-        raise ValueError("tol must be positive")
-    f = _crossover_gap(spec, q1, q2)
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError(f"no sign change on bracket {bracket}")
+def bisect_side(side, lo, hi, left, tol):
+    """Bisect a change of side(beta) inside (lo, hi), where left is the
+    side at lo: lo moves to mid while side(mid) is left, hi otherwise,
+    until hi - lo <= tol or lo and hi are adjacent floats.  Returns the
+    midpoint and the final (lo, hi)."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:         # lo and hi are adjacent floats
             break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
+        if side(mid) == left:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), (lo, hi)
+
+
+def _crossover_side(spec, q1, q2):
+    """beta -> the sign (-1, 0 or 1) of t(beta, q1) - t(beta, q2), whose
+    change is the crossover.  Equal q values make the gap 0 at every beta,
+    so there is no crossover to find."""
+    if q1 == q2:
+        raise ValueError(f"q1 and q2 must differ, both are {q1}")
+
+    def side(beta):
+        gap = t_density(spec, beta, q1) - t_density(spec, beta, q2)
+        return (gap > 0.0) - (gap < 0.0)
+    return side
+
+
+def crossover_bracket(spec, q1: float, q2: float):
+    """First side change of t(., q1) - t(., q2) on the 399 points below 1
+    of a 400-point geometric grid over [1e-6, 1], as a bracket for
+    crossover_beta.  Every pair of q ties at beta = 0 and at beta = 1, so
+    neither end is scanned."""
+    import numpy as np
+
+    side = _crossover_side(spec, q1, q2)
+    betas = np.geomspace(1e-6, 1.0, 400).tolist()[:-1]
+    i = next(side_changes(map(side, betas)), None)
+    if i is None:
+        raise ValueError("no crossover found on (1e-6, 1); give --bracket explicitly")
+    return betas[i], betas[i + 1]
+
+
+def crossover_beta(spec, q1: float, q2: float, bracket, tol: float = 1e-6) -> float:
+    """Bisection root of t(., q1) - t(., q2) on a bracket inside (0, 1), to
+    absolute tolerance tol on beta or until lo and hi are adjacent floats."""
+    lo, hi = bracket
+    if not 0.0 < lo < hi < 1.0:
+        raise ValueError(f"bad bracket {bracket}: need 0 < lo < hi < 1")
+    if not tol > 0.0:                 # NaN included
+        raise ValueError("tol must be positive")
+    side = _crossover_side(spec, q1, q2)
+    left = side(lo)
+    if side(hi) == left:
+        raise ValueError(f"no sign change on bracket {bracket}")
+    return bisect_side(side, lo, hi, left, tol)[0]

@@ -352,6 +352,8 @@ def _graph_classes(n):
 def enumerate_connected_graphs(max_v: int):
     """One representative per connected isomorphism class on 2..max_v
     vertices, in deterministic (n, edge count, mask) order."""
+    if max_v < 2:
+        raise ValueError(f"max_v must be at least 2, got {max_v}")
     if max_v > MAX_ENUMERATION:
         raise ValueError(f"enumeration limited to {MAX_ENUMERATION} vertices")
     for n in range(2, max_v + 1):

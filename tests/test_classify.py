@@ -17,6 +17,7 @@ from copymax.classify import (
     sweep_connected_graphs,
     three_class_host_probe,
 )
+from copymax.density import curve_sample
 from copymax.graphs import (
     builtin_graph,
     clique_with_pendant_star,
@@ -76,6 +77,23 @@ def test_patterns_end_in_k(g6):
         res = classify_type(g)
         assert res.pattern.endswith("K")
         assert res.samples[-1][1] == "K"
+
+
+def test_boundary_brackets_straddle_the_winner_change():
+    # the bisection keeps the left run's winner at lo and another at hi
+    checked = 0
+    for g in enumerate_connected_graphs(5):
+        res = classify_type(g)
+        spec = spectrum(g)
+        for left, bracket in zip(res.pattern, (res.gamma_bracket, res.delta_bracket)):
+            if bracket is None:
+                continue
+            lo, hi = bracket
+            assert 0.0 < hi - lo <= 1e-6
+            assert curve_sample(spec, lo).winner == left
+            assert curve_sample(spec, hi).winner != left
+            checked += 1
+    assert checked > 0
 
 
 def test_classify_requires_connected():

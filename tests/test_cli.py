@@ -210,6 +210,39 @@ def test_only_cli_formats_text():
     assert offenders == []
 
 
+def test_only_density_bisects():
+    # one beta bisection (density.bisect_side) serves classify and crossover
+    holders = [path.name for path in sorted((ROOT / "src" / "copymax").glob("*.py"))
+               if "lo < mid < hi" in path.read_text()]
+    assert holders == ["density.py"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify-all", "--max-v", "-1"),
+    ("search", "--max-v", "-3"),
+    ("search", "--max-v", "1"),
+])
+def test_max_v_below_two_is_refused(argv):
+    # these used to exit 0 with an empty CSV or "count": 0
+    cp = run_cli(*argv, expect=2)
+    assert f"max_v must be at least 2, got {argv[-1]}" in cp.stderr
+    assert cp.stdout == ""
+
+
+@pytest.mark.parametrize("bracket", [(), ("--bracket", "0:1"), ("--bracket", "0:0.5"),
+                                     ("--bracket", "0.5:1")],
+                         ids=["scan", "0:1", "0:0.5", "0.5:1"])
+def test_crossover_refuses_trivial_ties(bracket):
+    # every host has density 0 at beta = 0 and 1 at beta = 1; G6 has no
+    # crossover of q = 1 and q = 0 in between
+    run_cli("crossover", "--builtin", "G6", "--q1", "1", "--q2", "0", *bracket, expect=2)
+
+
+def test_crossover_star5_is_its_gamma():
+    cp = run_cli("crossover", "--builtin", "star5", "--q1", "1", "--q2", "0")
+    assert json.loads(cp.stdout)["beta"] == "0.903836850964"
+
+
 def test_ex_command():
     cp = run_cli("ex", "--builtin", "K3", "--n", "5", "--e", "6")
     data = json.loads(cp.stdout)

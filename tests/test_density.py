@@ -14,11 +14,13 @@ from copymax.density import (
     REL_TOL,
     attribute_winner,
     best_t_density,
+    bisect_side,
     clique_density,
     crossover_beta,
     crossover_bracket,
     curve_sample,
     density_curve,
+    side_changes,
     star_density,
     t_density,
     t_density_grid,
@@ -396,6 +398,35 @@ def test_crossover_bracket_g6(g6_spec):
     assert lo < 0.01613474 < hi
     assert crossover_beta(g6_spec, 1.0, Q_HALF, (lo, hi), tol=1e-9) == \
         pytest.approx(0.01613474, abs=1e-6)
+
+
+@pytest.mark.parametrize("spec, q1, q2, bracket, tol", [
+    pytest.param(spectrum(builtin_graph("G6")), 1.0, Q_HALF, (0.01, 0.03), 1e-9, id="G6"),
+    pytest.param(spectrum(path_graph(2)), 0.0, 1.0, (0.3, 0.7), 1e-12, id="P2"),
+    pytest.param(spectrum(path_graph(4)), 0.0, 1.0, (0.05, 0.12), 1e-9, id="P4"),
+])
+def test_crossover_gap_changes_sign_across_root(spec, q1, q2, bracket, tol):
+    root = crossover_beta(spec, q1, q2, bracket, tol=tol)
+    gap = lambda beta: t_density(spec, beta, q1) - t_density(spec, beta, q2)
+    assert gap(root - tol) * gap(root + tol) < 0.0
+
+
+def test_side_changes_is_lazy():
+    read = []
+    sides = (read.append(s) or s for s in "SSSKKTK")
+    assert next(side_changes(sides)) == 2
+    assert read == list("SSSK")
+    assert list(side_changes("SSSKKTK")) == [2, 4, 5]
+    assert list(side_changes("")) == list(side_changes("K")) == []
+
+
+def test_bisect_side_stops_at_adjacent_floats():
+    # a step at 0.3 on the left-closed side: lo stays below it, hi above
+    mid, (lo, hi) = bisect_side(lambda beta: beta < 0.3, 0.0, 1.0, True, 0.0)
+    assert lo < 0.3 <= hi and math.nextafter(lo, 1.0) == hi
+    assert mid in (lo, hi)
+    mid, (lo, hi) = bisect_side(lambda beta: beta < 0.3, 0.0, 1.0, True, 0.25)
+    assert (lo, hi) == (0.25, 0.5) and mid == 0.375
 
 
 def test_crossover_requires_sign_change(g6_spec):

@@ -293,6 +293,9 @@ def test_enumeration_cap():
     assert MAX_ENUMERATION == 8
     with pytest.raises(ValueError, match="enumeration limited to 8 vertices"):
         list(enumerate_connected_graphs(9))
+    for max_v in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"max_v must be at least 2, got {max_v}"):
+            list(enumerate_connected_graphs(max_v))
     with pytest.raises(ValueError, match="canonical form limited to 8 vertices"):
         canonical_form(cycle_graph(9))
 
