@@ -4,30 +4,45 @@
 S = quasi-star, T = strictly interior three-class host, K = quasi-clique.
 Every observed pattern ends in K; paths and stars flip S -> K at a single
 density, graphs with fractional independence number v/2 are pure K, and
-the 6-vertex counterexample opens with an interior window (TK).
+the 6-vertex counterexample opens with an interior window (TK).  A pattern
+is the winner sequence itself, with one boundary per change: the 8-vertex
+clique with a pendant star, family (3, 4), goes T -> S -> K.
 """
 
-from copymax import builtin_graph, classify_type, q_star_curve, sweep_connected_graphs
+from copymax import (
+    builtin_graph,
+    classify_type,
+    clique_with_pendant_star,
+    q_star_curve,
+    sweep_connected_graphs,
+)
 
-for name in ("K3", "P3", "C5", "P2", "P4", "star3", "star4", "G6"):
-    g = builtin_graph(name)
+
+def boundary_text(boundaries, digits):
+    return "".join(f"  {beta:.{digits}f}" for beta, _ in boundaries)
+
+
+graphs = {name: builtin_graph(name)
+          for name in ("K3", "P3", "C5", "P2", "P4", "star3", "star4", "G6")}
+graphs["(3, 4)"] = clique_with_pendant_star(3, 4)
+for name, g in graphs.items():
     res = classify_type(g)
-    boundary = f"  gamma = {res.gamma:.6f}" if res.gamma is not None else ""
-    print(f"{name:>6}: {res.pattern}{boundary}")
+    print(f"{name:>6}: {res.pattern}{boundary_text(res.boundaries, 6)}")
 
 print("\nargmax-q curve for the 6-vertex counterexample (conjectured monotone):")
 curve = q_star_curve(builtin_graph("G6"),
                      betas=[0.001, 0.005, 0.01, 0.02, 0.05, 0.2, 0.6, 1.0])
-for beta, q_star, tie in curve.samples:
-    note = "  (tie: every q works)" if tie else ""
-    print(f"  beta = {beta:<6} q* = {q_star:.5f}{note}")
+for s in curve.samples:
+    note = "  (tie: every q works)" if s.tie else ""
+    print(f"  beta = {s.beta:<6} q* = {s.q_star:.5f}{note}")
 print("non-decreasing:", curve.non_decreasing)
 
 print("\nfull sweep of connected graphs on up to 5 vertices:")
 rows = sweep_connected_graphs(5)
 for row in rows:
-    gamma = f" gamma={row.gamma:.5f}" if row.gamma is not None else ""
-    print(f"  {row.graph6:>6}  v={row.v} e={row.e:>2}  alpha={row.alpha} "
-          f"alpha*={str(row.alpha_star):>4}  {row.pattern}{gamma}")
+    g, spec, res = row.graph, row.spectrum, row.classification
+    print(f"  {res.graph_id:>6}  v={g.n} e={g.edge_count:>2}  alpha={spec.alpha} "
+          f"alpha*={str(spec.alpha_star):>4}  {res.pattern}"
+          f"{boundary_text(res.boundaries, 5)}")
 print(f"{len(rows)} classes, patterns observed:",
-      sorted({row.pattern for row in rows}))
+      sorted({row.classification.pattern for row in rows}))

@@ -2,10 +2,12 @@
 
 Sweeping the edge density from 0 to 1 and asking which host attains the
 best density partitions [0, 1] into S (quasi-star wins), T (a strictly
-interior three-class host wins) and K (quasi-clique wins) regions.  For
-every graph the observed patterns are K, SK, TK or STK (the K tail is a
-proven fact, the rest is numerics), and anything else is reported verbatim
-as OTHER rather than forced into a pattern.
+interior three-class host wins) and K (quasi-clique wins) regions.  A
+graph's pattern is its winner sequence on the beta grid, with one bisected
+boundary per change.  The K tail is a proven fact, the rest is numerics:
+every connected graph on at most 7 vertices is K, SK, TK or STK, but three
+on 8 vertices are TSK (clique_with_pendant_star(3, 4) among them), and
+family (4, 8) is TSTK.
 
 The module also hunts for graphs whose interior region is provably
 non-empty (fractional independence number exceeding both the independence
@@ -37,39 +39,30 @@ from .hosts import (
     injective_count,
     injective_count_from_spectrum,
 )
-from .weightings import spectrum
+from .weightings import WeightingSpectrum, spectrum
 
 
 @dataclass(frozen=True)
 class TypeClassification:
     graph_id: str
-    pattern: str               # "K", "SK", "TK", "STK" or "OTHER"
-    gamma: float | None        # first boundary
-    delta: float | None        # second boundary (STK only)
-    gamma_bracket: tuple | None
-    delta_bracket: tuple | None
-    samples: tuple             # (beta, winner, q_star) per grid point
+    pattern: str               # winner sequence, e.g. "K", "SK", "TSK"
+    boundaries: tuple          # (beta, (lo, hi)) per winner change, in order
+    samples: tuple             # CurveSample per grid point
 
 
 @dataclass(frozen=True)
 class QStarCurve:
-    samples: tuple             # (beta, q_star, tie)
+    samples: tuple             # CurveSample per beta
     non_decreasing: bool
     violations: tuple          # (beta, next untied beta) where q_star dropped
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    graph6: str
-    v: int
-    e: int
-    alpha: int
-    alpha_star: Fraction
-    max_independent_sets: int
+    graph: Graph
+    spectrum: WeightingSpectrum
     predicted_start: str
-    pattern: str
-    gamma: float | None
-    delta: float | None
+    classification: TypeClassification
 
 
 def default_beta_grid():
@@ -90,30 +83,18 @@ def classify_type(g: Graph, tol: float = 1e-6) -> TypeClassification:
 
 
 def _classify(g, spec, tol):
-    samples = [(s.beta, s.winner, s.q_star)
-               for s in density_curve(spec, default_beta_grid())]
-    winners = [w for _, w, _ in samples]
+    samples = density_curve(spec, default_beta_grid())
+    winners = [s.winner for s in samples]
     changes = list(side_changes(winners))
-    seq = "".join([winners[0]] + [winners[i + 1] for i in changes])
-    graph_id = write_graph6(g)
-
-    def boundary(i):
-        # the grid already gave the winner at samples[i], so it is passed in
-        return bisect_side(lambda beta: curve_sample(spec, beta).winner,
-                           samples[i][0], samples[i + 1][0], winners[i], tol)
-
-    gamma = delta = None
-    gamma_bracket = delta_bracket = None
-    if seq in ("SK", "TK", "STK"):
-        gamma, gamma_bracket = boundary(changes[0])
-        if seq == "STK":
-            delta, delta_bracket = boundary(changes[1])
-    pattern = seq if seq in ("K", "SK", "TK", "STK") else "OTHER"
+    # the grid already gave the winner at samples[i], so it is passed in
+    boundaries = tuple(
+        bisect_side(lambda beta: curve_sample(spec, beta).winner,
+                    samples[i].beta, samples[i + 1].beta, winners[i], tol)
+        for i in changes)
     return TypeClassification(
-        graph_id=graph_id, pattern=pattern,
-        gamma=gamma, delta=delta,
-        gamma_bracket=gamma_bracket, delta_bracket=delta_bracket,
-        samples=tuple(samples),
+        graph_id=write_graph6(g),
+        pattern="".join([winners[0]] + [winners[i + 1] for i in changes]),
+        boundaries=boundaries, samples=samples,
     )
 
 
@@ -128,15 +109,15 @@ def q_star_curve(g: Graph, betas=None) -> QStarCurve:
     spec = spectrum(g)
     if betas is None:
         betas = default_beta_grid()
-    samples = [(s.beta, s.q_star, s.tie) for s in density_curve(spec, betas)]
+    samples = density_curve(spec, betas)
     # a tied sample (every q optimal, as at beta = 1) has no argmax to
     # compare, so each untied q_star is checked against the previous untied one
-    untied = [(beta, q) for beta, q, tie in samples if not tie]
+    untied = [s for s in samples if not s.tie]
     violations = tuple(
-        (b0, b1) for (b0, q0), (b1, q1) in zip(untied, untied[1:])
-        if q1 < q0 - 1e-8
+        (s0.beta, s1.beta) for s0, s1 in zip(untied, untied[1:])
+        if s1.q_star < s0.q_star - 1e-8
     )
-    return QStarCurve(samples=tuple(samples),
+    return QStarCurve(samples=samples,
                       non_decreasing=not violations,
                       violations=violations)
 
@@ -185,13 +166,8 @@ def sweep_connected_graphs(max_v: int):
                                f"got {cls.pattern}")
         if not cls.pattern.startswith(predicted):
             raise RuntimeError(f"{cls.graph_id}: expected {predicted} start, got {cls.pattern}")
-        rows.append(SweepRow(
-            graph6=cls.graph_id, v=g.n, e=g.edge_count,
-            alpha=spec.alpha, alpha_star=spec.alpha_star,
-            max_independent_sets=spec.max_independent_sets,
-            predicted_start=predicted, pattern=cls.pattern,
-            gamma=cls.gamma, delta=cls.delta,
-        ))
+        rows.append(SweepRow(graph=g, spectrum=spec, predicted_start=predicted,
+                             classification=cls))
     return rows
 
 
@@ -215,6 +191,8 @@ def _exhaustive_ex(n, e, pattern, budget):
         raise ValueError(f"exhaustive search limited to {MAX_ENUMERATION} vertices")
     if e < 0:
         raise ValueError("edge bound must be non-negative")
+    if budget < 1:
+        raise ValueError(f"search budget must be at least 1 node, got {budget}")
     _check_pattern_size(pattern)      # before the automorphism search
     aut = automorphism_count(pattern)
     levels = _graph_classes(n)                # one level per edge count 0..C(n,2)

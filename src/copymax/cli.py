@@ -165,26 +165,38 @@ def cmd_crossover(args):
     return _json_text(out)
 
 
+def _gamma_delta(boundaries):
+    """The first two winner changes, (beta, bracket) each, as the printed
+    gamma and delta; (None, None) where the winner changes fewer times."""
+    return (*boundaries, (None, None), (None, None))[:2]
+
+
 def cmd_classify(args):
     g = _load_graph(args)
     c = cls.classify_type(g, tol=args.tol)
+    (gamma, gamma_bracket), (delta, delta_bracket) = _gamma_delta(c.boundaries)
     out = {
         "graph6": c.graph_id,
         "pattern": c.pattern,
-        "gamma": c.gamma,
-        "delta": c.delta,
-        "gamma_bracket": list(c.gamma_bracket) if c.gamma_bracket else None,
-        "delta_bracket": list(c.delta_bracket) if c.delta_bracket else None,
-        "samples": [{"beta": b, "winner": w, "q_star": q} for b, w, q in c.samples],
+        "gamma": gamma,
+        "delta": delta,
+        "gamma_bracket": list(gamma_bracket) if gamma_bracket else None,
+        "delta_bracket": list(delta_bracket) if delta_bracket else None,
+        "samples": [{"beta": s.beta, "winner": s.winner, "q_star": s.q_star}
+                    for s in c.samples],
     }
     return _json_text(out)
 
 
 def cmd_classify_all(args):
-    return _csv("graph6,v,e,alpha,alpha_star,A,pattern,gamma,delta",
-                ((r.graph6, r.v, r.e, r.alpha, r.alpha_star, r.max_independent_sets,
-                  r.pattern, r.gamma, r.delta)
-                 for r in cls.sweep_connected_graphs(args.max_v)))
+    rows = []
+    for r in cls.sweep_connected_graphs(args.max_v):
+        c, spec = r.classification, r.spectrum
+        (gamma, _), (delta, _) = _gamma_delta(c.boundaries)
+        rows.append((c.graph_id, r.graph.n, r.graph.edge_count, spec.alpha,
+                     spec.alpha_star, spec.max_independent_sets, c.pattern,
+                     gamma, delta))
+    return _csv("graph6,v,e,alpha,alpha_star,A,pattern,gamma,delta", rows)
 
 
 def cmd_oracle(args):

@@ -174,8 +174,6 @@ def _count_maps(pattern: Graph, host: Graph, injective: bool, budget: int) -> in
             images[pos] = low.bit_length() - 1
             rec(pos + 1, used | low if injective else used)
 
-    if k == 1:
-        return host.n
     rec(0, 0)
     return state["count"]
 

@@ -232,9 +232,9 @@ def test_criterion_12_sweep_anchors(g6):
         "K3 type K": results["K3"].pattern == "K",
         "P3 type K": results["P3"].pattern == "K",
         "P2 type SK": results["P2"].pattern == "SK",
-        "P2 gamma 1/2": abs(results["P2"].gamma - 0.5) <= 1e-6,
+        "P2 gamma 1/2": abs(results["P2"].boundaries[0][0] - 0.5) <= 1e-6,
         "P4 type SK": results["P4"].pattern == "SK",
-        "P4 gamma": abs(results["P4"].gamma - 0.0865) <= 5e-4,
+        "P4 gamma": abs(results["P4"].boundaries[0][0] - 0.0865) <= 5e-4,
         "stars SK": all(results[f"star{k}"].pattern == "SK" for k in (2, 3, 4)),
         "all end in K": all(r.pattern.endswith("K") for r in results.values()),
     }

@@ -51,14 +51,15 @@ def test_classify_p3():
 def test_classify_p2():
     res = classify_type(path_graph(2), tol=1e-8)
     assert res.pattern == "SK"
-    assert res.gamma == pytest.approx(0.5, abs=1e-6)
-    assert res.gamma_bracket[0] < 0.5 < res.gamma_bracket[1] + 1e-7
+    [(gamma, (lo, hi))] = res.boundaries
+    assert gamma == pytest.approx(0.5, abs=1e-6)
+    assert lo < 0.5 < hi + 1e-7
 
 
 def test_classify_p4():
     res = classify_type(path_graph(4))
     assert res.pattern == "SK"
-    assert res.gamma == pytest.approx(0.0865, abs=5e-4)
+    assert res.boundaries[0][0] == pytest.approx(0.0865, abs=5e-4)
 
 
 def test_classify_stars():
@@ -76,19 +77,18 @@ def test_patterns_end_in_k(g6):
     for g in (complete_graph(3), path_graph(2), path_graph(4), star_graph(3), g6):
         res = classify_type(g)
         assert res.pattern.endswith("K")
-        assert res.samples[-1][1] == "K"
+        assert res.samples[-1].winner == "K"
 
 
 def test_boundary_brackets_straddle_the_winner_change():
     # the bisection keeps the left run's winner at lo and another at hi
+    # (3, 4) is TSK, so its second change is bisected too
     checked = 0
-    for g in enumerate_connected_graphs(5):
+    for g in [*enumerate_connected_graphs(5), clique_with_pendant_star(3, 4)]:
         res = classify_type(g)
         spec = spectrum(g)
-        for left, bracket in zip(res.pattern, (res.gamma_bracket, res.delta_bracket)):
-            if bracket is None:
-                continue
-            lo, hi = bracket
+        assert len(res.boundaries) == len(res.pattern) - 1
+        for left, (_, (lo, hi)) in zip(res.pattern, res.boundaries):
             assert 0.0 < hi - lo <= 1e-6
             assert curve_sample(spec, lo).winner == left
             assert curve_sample(spec, hi).winner != left
@@ -109,26 +109,38 @@ def test_classification_json(capsys):
     assert {"beta", "winner", "q_star"} <= set(d["samples"][0])
 
 
+def test_classification_json_tsk(capsys):
+    # exact verdicts put T at beta(k = 1/5) ~ 0.14793 and S at k = 9/40
+    # (0.18346) and k = 2/5 (0.47562); K wins at the grid's 0.4867
+    assert main(["classify", "--family", "3,4"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["pattern"] == "TSK"
+    assert 0.14793 < d["gamma"] < 0.18346
+    assert 0.47562 < d["delta"] < 0.4867
+    assert d["gamma_bracket"][0] <= d["gamma"] <= d["gamma_bracket"][1]
+    assert d["delta_bracket"][0] <= d["delta"] <= d["delta_bracket"][1]
+
+
 # ---------------------------------------------------------------------------
 # q* curve
 
 def test_q_star_curve_p2():
     curve = q_star_curve(path_graph(2), betas=[0.1, 0.3, 0.45, 0.55, 0.8])
-    q_values = [q for _, q, _ in curve.samples]
+    q_values = [s.q_star for s in curve.samples]
     assert q_values[0] == 0.0 and q_values[-1] == 1.0
     assert curve.non_decreasing
 
 
 def test_q_star_curve_g6_interior(g6):
     curve = q_star_curve(g6, betas=[0.002, 0.006, 0.012])
-    for _, q, _ in curve.samples:
-        assert 0.0 < q < 1.0
+    for s in curve.samples:
+        assert 0.0 < s.q_star < 1.0
 
 
 def test_q_star_tie_at_beta_one(g6):
     curve = q_star_curve(g6, betas=[0.5, 1.0])
-    beta, q, tie = curve.samples[-1]
-    assert tie and q == 0.0
+    last = curve.samples[-1]
+    assert last.tie and last.q_star == 0.0
 
 
 def test_q_star_tie_is_not_a_violation(g6):
@@ -180,13 +192,14 @@ def test_k4_not_a_counterexample():
 def test_sweep_small(monkeypatch, capsys):
     rows = sweep_connected_graphs(4)
     assert len(rows) == 9
-    assert all(r.pattern.endswith("K") for r in rows)
-    for r in rows:
-        assert r.pattern in ("K", "SK")
-        if r.pattern == "SK":
-            assert r.gamma is not None
+    patterns = [r.classification.pattern for r in rows]
+    assert all(p.endswith("K") for p in patterns)
+    for r, p in zip(rows, patterns):
+        assert p in ("K", "SK")
+        if p == "SK":
+            assert r.classification.boundaries
         # start of the numeric pattern matches the exponent prediction
-        assert r.pattern[0] == r.predicted_start
+        assert p[0] == r.predicted_start
     # the CLI prints these rows, one line each
     monkeypatch.setattr(classify, "sweep_connected_graphs", lambda max_v: rows)
     assert main(["classify-all", "--max-v", "4"]) == 0
@@ -194,7 +207,7 @@ def test_sweep_small(monkeypatch, capsys):
     assert csv.startswith("graph6,v,e,alpha,alpha_star,A,pattern,gamma,delta\n")
     assert len(csv.strip().split("\n")) == 10
     assert [ln.split(",")[0] for ln in csv.strip().split("\n")[1:]] == \
-        [r.graph6 for r in rows]
+        [write_graph6(r.graph) for r in rows]
 
 
 def test_sweep_builds_each_census_once(monkeypatch):

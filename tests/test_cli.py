@@ -276,6 +276,16 @@ def test_budget_exit_code():
     assert "count aborted after 101 nodes" in cp.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(("--builtin", "G6", "--n", "7", "--e", "12", "--budget", "0"), id="G6-0"),
+    pytest.param(("--builtin", "G6", "--n", "7", "--e", "12", "--budget", "-5"), id="G6-neg"),
+    pytest.param(("--builtin", "K1", "--n", "3", "--e", "1", "--budget", "0"), id="K1-0"),
+])
+def test_budget_below_one_is_bad_input(argv):
+    cp = run_cli("ex", *argv, expect=2, timeout=30)
+    assert "budget must be at least 1" in cp.stderr
+
+
 def test_oracle_refuses_nine_vertex_pattern():
     # the partition route would list Bell-many partitions: refused up front
     cp = run_cli("oracle", "--builtin", "C9", expect=2, timeout=30)

@@ -286,7 +286,7 @@ def test_sweep_refinement_count(monkeypatch):
 
     monkeypatch.setattr(density, "t_density", counting)
     rows = classify.sweep_connected_graphs(4)
-    assert [r.pattern for r in rows] == ["K", "SK", "K", "SK", "K", "K", "K", "K", "K"]
+    assert [r.classification.pattern for r in rows] == ["K", "SK", "K", "SK", "K", "K", "K", "K", "K"]
     # refining every local grid maximum took 70,618 calls
     assert len(calls) == 46938
 

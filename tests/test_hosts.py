@@ -238,6 +238,13 @@ def test_budget_abort(g6):
     assert err.value.partial_count >= 0
 
 
+def test_one_vertex_pattern_charges_its_budget():
+    host = cycle_graph(5)
+    assert injective_count(complete_graph(1), host, budget=1) == host.n
+    with pytest.raises(CountBudgetExceeded):
+        injective_count(complete_graph(1), host, budget=0)
+
+
 def test_pattern_size_cap():
     for count in (hom_count, injective_count):
         with pytest.raises(ValueError, match="pattern limited to 8 vertices"):

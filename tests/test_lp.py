@@ -18,6 +18,7 @@ from copymax.graphs import (
     star_graph,
 )
 from copymax.lp import (
+    DualityMismatchError,
     duality_check,
     primal_optimum_formula,
     _solve_cover,
@@ -118,6 +119,28 @@ def test_duality_check_solves_once(g6, monkeypatch):
     monkeypatch.setattr(lp, "_solve_cover", counted)
     duality_check(g6, Fraction(1, 10))
     assert len(calls) == 1
+
+
+def test_certificate_refuses_an_infeasible_cover(g6, monkeypatch):
+    monkeypatch.setattr(lp, "_solve_cover", lambda g, eps: [0] * (g.n + g.edge_count))
+    with pytest.raises(DualityMismatchError, match="infeasible cover"):
+        duality_check(g6, Fraction(1, 10))
+
+
+def test_certificate_refuses_a_dual_off_the_formula(g6, monkeypatch):
+    # z = 1 on every vertex and y = 0 is a feasible cover of value v, above
+    # the optimum v - eps (v - alpha*)
+    monkeypatch.setattr(lp, "_solve_cover",
+                        lambda g, eps: [1] * g.n + [0] * g.edge_count)
+    with pytest.raises(DualityMismatchError, match="dual 6 / formula 11/2"):
+        duality_check(g6, Fraction(1, 5))
+
+
+def test_certificate_refuses_a_witness_off_an_edge_row(monkeypatch):
+    # weight 1 (two halves) on both ends of the edge 1-2 puts x = 1 on each
+    monkeypatch.setattr(lp, "maximal_weighting", lambda g: (2, 2, 0))
+    with pytest.raises(DualityMismatchError, match="violates an edge row"):
+        duality_check(path_graph(2), Fraction(1, 10))
 
 
 @given(graphs_without_isolated_vertices(max_v=9).filter(
