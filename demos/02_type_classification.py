@@ -38,7 +38,7 @@ for s in curve.samples:
 print("non-decreasing:", curve.non_decreasing)
 
 print("\nfull sweep of connected graphs on up to 5 vertices:")
-rows = sweep_connected_graphs(5)
+rows = list(sweep_connected_graphs(5))
 for row in rows:
     g, spec, res = row.graph, row.spectrum, row.classification
     print(f"  {res.graph_id:>6}  v={g.n} e={g.edge_count:>2}  alpha={spec.alpha} "

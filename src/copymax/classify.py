@@ -151,24 +151,26 @@ def _predicted_start(spec):
 def sweep_connected_graphs(max_v: int):
     """Classify every connected graph on 2..max_v vertices, checking that
     each numeric pattern starts with the exponent prediction and is K
-    throughout when alpha* = v/2."""
+    throughout when alpha* = v/2.  The graphs are enumerated here, so a
+    bad max_v raises at the call; each row is classified when it is read,
+    so a caller that keeps no row holds one at a time."""
     if max_v > 5:
         raise ValueError("the full numeric sweep is limited to 5 vertices")
-    rows = []
-    for g in enumerate_connected_graphs(max_v):
-        spec = spectrum(g)
-        cls = _classify(g, spec, 1e-6)      # classify_type's default tol
-        predicted = _predicted_start(spec)
-        # alpha* = v/2 bounds t by beta^(v/2) on every host (Friedgut-Kahn),
-        # so the whole pattern must be K, not only its start
-        if predicted == "K" and cls.pattern != "K":
-            raise RuntimeError(f"{cls.graph_id}: alpha* = v/2 forces K at every beta, "
-                               f"got {cls.pattern}")
-        if not cls.pattern.startswith(predicted):
-            raise RuntimeError(f"{cls.graph_id}: expected {predicted} start, got {cls.pattern}")
-        rows.append(SweepRow(graph=g, spectrum=spec, predicted_start=predicted,
-                             classification=cls))
-    return rows
+    return map(_sweep_row, list(enumerate_connected_graphs(max_v)))
+
+
+def _sweep_row(g):
+    spec = spectrum(g)
+    cls = _classify(g, spec, 1e-6)      # classify_type's default tol
+    predicted = _predicted_start(spec)
+    # alpha* = v/2 bounds t by beta^(v/2) on every host (Friedgut-Kahn),
+    # so the whole pattern must be K, not only its start
+    if predicted == "K" and cls.pattern != "K":
+        raise RuntimeError(f"{cls.graph_id}: alpha* = v/2 forces K at every beta, "
+                           f"got {cls.pattern}")
+    if not cls.pattern.startswith(predicted):
+        raise RuntimeError(f"{cls.graph_id}: expected {predicted} start, got {cls.pattern}")
+    return SweepRow(graph=g, spectrum=spec, predicted_start=predicted, classification=cls)
 
 
 def exhaustive_ex(n: int, e: int, pattern: Graph, budget: int = DEFAULT_BUDGET):

@@ -23,7 +23,15 @@ with the bits of a one-beta scan.
 
 The supremum over q is a grid scan plus golden-section refinement of the
 local grid maxima, skipping those that provably cannot reach the best
-value so far (best_t_density gives the rule and its proof).
+value so far (best_t_density gives the rule and its proof).  A density
+curve refines all its betas together: in each round every row's next
+maximum is refined by one lockstep golden-section search, whose lanes each
+take the scalar search's float steps and are evaluated in one lane sum.
+The lane sum is numpy elementwise arithmetic in the scalar loop's order,
+with math.log and math.exp mapped over the lanes (np.log and np.exp differ
+from them in the last bit), so every sample has the bits of a one-beta
+call.  A single lane (one beta, or one maximum left in a round) keeps the
+scalar route, which is cheaper than numpy there.
 
 Every beta boundary (the S/T/K winner changes and the crossover of two q
 values) is found by one search: side_changes scans a grid for the first
@@ -35,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import pairwise
+from itertools import chain, pairwise
 from typing import NamedTuple
 
 REL_TOL = 1e-12        # relative tolerance for "attains the supremum"
@@ -163,6 +171,50 @@ def star_density(spec, beta: float) -> float:
     return t_density(spec, beta, 0.0)
 
 
+def _term_columns(terms):
+    """The (yc, rc, bc, mult) terms as a (k, 3) count matrix and a (k, 1)
+    multiplicity column, the form _lane_sum reads."""
+    import numpy as np
+
+    table = np.fromiter(chain.from_iterable(terms), float, 4 * len(terms)).reshape(-1, 4)
+    return table[:, :3], table[:, 3:]
+
+
+def _lane_sum(columns, y, r, b):
+    """_term_sum at every lane of the 1-D arrays y, r and b, with its bits.
+
+    Each numpy op is elementwise and is an op of the scalar loop, taken in
+    its order: the count * log products, the exponent summed in (y, r, b)
+    order, mult * exp, and a running sum over the terms in entry order
+    (np.sum or @ would change that order).  The logs and exps are math's,
+    mapped over the lanes, because np.log and np.exp differ from them in
+    the last bit at some points.  An empty class gets log 0.0 and the terms
+    that count it are zeroed: the terms _live_terms drops."""
+    import numpy as np
+
+    counts, mult = columns
+    classes = np.stack((y, r, b))
+    live = classes > 0.0
+    logs = np.zeros(classes.shape)
+    logs[live] = np.fromiter(map(math.log, classes[live].tolist()), float)
+    exponent = counts[:, :1] * logs[0] + counts[:, 1:2] * logs[1] + counts[:, 2:] * logs[2]
+    terms = mult * np.fromiter(map(math.exp, exponent.ravel().tolist()), float,
+                               exponent.size).reshape(exponent.shape)
+    if not live.all():
+        terms[((counts[:, :, None] > 0.0) & ~live).any(axis=1)] = 0.0
+    total = np.zeros(len(y))
+    for row in terms:
+        total += row
+    return total
+
+
+def _t_lanes(columns, betas, qs):
+    """t at each (beta, q) lane of two 1-D arrays, by _lane_sum."""
+    import numpy as np
+
+    return _lane_sum(columns, *_fractions(betas, qs, np.sqrt))
+
+
 def _golden_max(f, lo, hi, tol):
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
@@ -180,6 +232,40 @@ def _golden_max(f, lo, hi, tol):
     return (c, fc) if fc >= fd else (d, fd)
 
 
+def _golden_lanes(spec, columns, betas, brackets):
+    """_golden_max(t(beta, .), lo, hi, REFINE_TOL) as a (q, t) pair for each
+    beta and (lo, hi) bracket, the lanes stepped in lockstep: every lane
+    takes _golden_max's float ops and stops at its own b - a <= REFINE_TOL,
+    and the new points of one step are evaluated in one _t_lanes call.  A
+    single lane is refined by _golden_max itself, which costs less than
+    numpy does at one lane."""
+    if len(betas) == 1:
+        (beta,), ((lo, hi),) = betas, brackets
+        return [_golden_max(lambda q: t_density(spec, beta, q), lo, hi, REFINE_TOL)]
+    import numpy as np
+
+    betas = np.array(betas)
+    a, b = np.array(brackets).T.copy()
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = np.split(_t_lanes(columns, np.concatenate((betas, betas)),
+                               np.concatenate((c, d))), 2)
+    live = np.flatnonzero(b - a > REFINE_TOL)
+    while live.size:
+        al, bl, cl, dl, fcl, fdl = (v[live] for v in (a, b, c, d, fc, fd))
+        left = fcl >= fdl
+        # left lanes: b, d, fd = d, c, fc; the others: a, c, fc = c, d, fd
+        bl, al = np.where(left, dl, bl), np.where(left, al, cl)
+        cl, dl = (np.where(left, bl - _INVPHI * (bl - al), dl),
+                  np.where(left, cl, al + _INVPHI * (bl - al)))
+        f = _t_lanes(columns, betas[live], np.where(left, cl, dl))
+        fcl, fdl = np.where(left, f, fdl), np.where(left, fcl, f)
+        a[live], b[live], c[live], d[live], fc[live], fd[live] = al, bl, cl, dl, fcl, fdl
+        live = live[bl - al > REFINE_TOL]
+    pick = fc >= fd
+    return list(zip(np.where(pick, c, d).tolist(), np.where(pick, fc, fd).tolist()))
+
+
 @lru_cache(maxsize=None)
 def _q_grid():
     """The Q_GRID + 1 scan points on [0, 1], as a read-only array and as
@@ -191,15 +277,13 @@ def _q_grid():
     return qs, tuple(qs.tolist())
 
 
-def best_t_density(spec, beta: float, ts=None) -> ProfilePoint:
+def best_t_density(spec, beta: float) -> ProfilePoint:
     """Supremum of t(beta, q) over q in [0, 1].
 
     Grid scan followed by golden-section refinement around local grid
-    maxima; t(q) may be multimodal.  ts, when given, is this beta's row of
-    t_density_grid on the Q_GRID scan (density_curve passes the rows of one
-    batched pass).  The reported q_star is the smallest q whose value is
-    within REL_TOL (relative) of the best; a tie is flagged when a
-    well-separated q attains the same value.
+    maxima; t(q) may be multimodal.  The reported q_star is the smallest q
+    whose value is within REL_TOL (relative) of the best; a tie is flagged
+    when a well-separated q attains the same value.
 
     The local maxima are refined in descending grid value, and one with
     bracket [lo, hi] is skipped when the term sum at (y(hi), r(lo), b(lo)),
@@ -215,37 +299,77 @@ def best_t_density(spec, beta: float, ts=None) -> ProfilePoint:
     refinement would only have chased float noise, so on flat profiles the
     value may differ from it by a few ulps; nothing printed changes.
     """
+    return _profiles(spec, [beta], _term_columns(spec.density_terms))[0]
+
+
+def _bounds(spec, columns, lanes):
+    """best_t_density's skip bound, the term sum at (y(hi), r(lo), b(lo)),
+    for each (beta, (lo, hi)) lane: by _term_sum at one lane, else by one
+    _lane_sum call."""
+    if len(lanes) == 1:
+        ((beta, (lo, hi)),) = lanes
+        return [_term_sum(spec.density_terms, _fractions(beta, hi)[0],
+                          *_fractions(beta, lo)[1:])]
+    import numpy as np
+
+    betas, los, his = np.array([(beta, lo, hi) for beta, (lo, hi) in lanes]).reshape(-1, 3).T
+    y = _fractions(betas, his, np.sqrt)[0]
+    _, r, b = _fractions(betas, los, np.sqrt)
+    return _lane_sum(columns, y, r, b).tolist()
+
+
+def _profiles(spec, betas, columns):
+    """best_t_density at each beta of a list, each step taken for every
+    row at once: one batched grid pass, one peak scan, the skip bounds of
+    all local maxima in one lane sum, and the refinements in rounds.  Round
+    j refines, in every row, the next local maximum (highest first) whose
+    bound survives that row's best so far, so each row meets its maxima in
+    the order of a one-row call."""
     import numpy as np
 
     qs, qf = _q_grid()
-    if ts is None:
-        ts = t_density_grid(spec, beta, qs)
-    top = float(ts.max())
-    if ts.min() >= top * (1.0 - REL_TOL):
-        return ProfilePoint(top, 0.0, True)
-    edge = np.full(1, -math.inf)
-    padded = np.concatenate((edge, ts, edge))
-    peaks = np.flatnonzero((ts >= padded[:-2]) & (ts >= padded[2:])).tolist()
-    ts = ts.tolist()
-    peaks.sort(key=ts.__getitem__, reverse=True)
-    candidates = [(0.0, ts[0]), (1.0, ts[-1])] + [(qf[i], ts[i]) for i in peaks]
-    best = top
-    terms = spec.density_terms
-    f = lambda q: t_density(spec, beta, q)
-    for i in peaks:
-        lo, hi = qf[max(i - 1, 0)], qf[min(i + 1, Q_GRID)]
-        y = _fractions(beta, hi)[0]
-        _, r, b = _fractions(beta, lo)
-        if _term_sum(terms, y, r, b) * (1.0 + 1e-9) < best * (1.0 - REL_TOL):
+    ts = t_density_grid(spec, betas, qs)
+    top = ts.max(axis=1)
+    flat = ts.min(axis=1) >= top * (1.0 - REL_TOL)
+    edge = np.full((len(betas), 1), -math.inf)
+    padded = np.concatenate((edge, ts, edge), axis=1)
+    peaky = (ts >= padded[:, :-2]) & (ts >= padded[:, 2:])
+    best = top.tolist()
+    candidates, brackets = {}, {}
+    for i in np.flatnonzero(~flat).tolist():
+        row = ts[i].tolist()
+        peaks = np.flatnonzero(peaky[i]).tolist()
+        peaks.sort(key=row.__getitem__, reverse=True)
+        candidates[i] = [(0.0, row[0]), (1.0, row[-1])] + [(qf[p], row[p]) for p in peaks]
+        brackets[i] = [(qf[max(p - 1, 0)], qf[min(p + 1, Q_GRID)]) for p in peaks]
+    bounds = iter(_bounds(spec, columns, [(betas[i], bracket) for i, row in brackets.items()
+                                          for bracket in row]))
+    queues = {i: iter([(bracket, next(bounds)) for bracket in row])
+              for i, row in brackets.items()}
+    while True:
+        picks = []
+        for i, queue in queues.items():
+            for bracket, bound in queue:
+                if bound * (1.0 + 1e-9) >= best[i] * (1.0 - REL_TOL):
+                    picks.append((i, bracket))
+                    break
+        if not picks:
+            break
+        refined = _golden_lanes(spec, columns, [betas[i] for i, _ in picks],
+                                [bracket for _, bracket in picks])
+        for (i, _), (q, t) in zip(picks, refined):
+            candidates[i].append((q, t))
+            best[i] = max(best[i], t)
+    out = []
+    for i, value in enumerate(best):
+        if i not in candidates:
+            out.append(ProfilePoint(value, 0.0, True))
             continue
-        q, t = _golden_max(f, lo, hi, REFINE_TOL)
-        candidates.append((q, t))
-        best = max(best, t)
-    threshold = best * (1.0 - REL_TOL) if best > 0.0 else 0.0
-    attaining = sorted(q for q, t in candidates if t >= threshold)
-    q_star = attaining[0]
-    tie = any(q - q_star > 1e-6 for q in attaining)
-    return ProfilePoint(best, q_star, tie)
+        threshold = value * (1.0 - REL_TOL) if value > 0.0 else 0.0
+        attaining = sorted(q for q, t in candidates[i] if t >= threshold)
+        q_star = attaining[0]
+        out.append(ProfilePoint(value, q_star, any(q - q_star > 1e-6 for q in attaining)))
+    return out
 
 
 def attribute_winner(f_T: float, t_star: float, t_clique: float) -> str:
@@ -259,26 +383,40 @@ def attribute_winner(f_T: float, t_star: float, t_clique: float) -> str:
     return "T"
 
 
-def curve_sample(spec, beta: float, ts=None) -> CurveSample:
+def _curve(spec, betas):
+    """One CurveSample per beta of a list: _profiles, and both endpoint
+    hosts by t_density at one beta, else by one _t_lanes call."""
+    import numpy as np
+
+    columns = _term_columns(spec.density_terms)
+    profiles = _profiles(spec, betas, columns)
+    if len(betas) == 1:
+        ends = [(star_density(spec, betas[0]), clique_density(spec, betas[0]))]
+    else:
+        lanes = np.asarray(betas, dtype=float)
+        t0, t1 = np.split(_t_lanes(columns, np.concatenate((lanes, lanes)),
+                                   np.repeat([0.0, 1.0], len(betas))), 2)
+        ends = zip(t0.tolist(), t1.tolist())
+    return tuple(CurveSample(beta=beta, f_T=prof.value, q_star=prof.q_star,
+                             t_star=t0, t_clique=t1,
+                             winner=attribute_winner(prof.value, t0, t1),
+                             tie=prof.tie)
+                 for beta, prof, (t0, t1) in zip(betas, profiles, ends))
+
+
+def curve_sample(spec, beta: float) -> CurveSample:
     """The optimised profile, both endpoint hosts and the winner at one
-    beta; ts as for best_t_density."""
-    prof = best_t_density(spec, beta, ts)
-    t0 = star_density(spec, beta)
-    t1 = clique_density(spec, beta)
-    return CurveSample(beta=beta, f_T=prof.value, q_star=prof.q_star,
-                       t_star=t0, t_clique=t1,
-                       winner=attribute_winner(prof.value, t0, t1),
-                       tie=prof.tie)
+    beta."""
+    return _curve(spec, [beta])[0]
 
 
 def density_curve(spec, betas) -> tuple:
-    """One CurveSample per beta of a strictly increasing grid, their q
-    scans taken in one batched grid pass."""
+    """One CurveSample per beta of a strictly increasing grid, all refined
+    together (_profiles)."""
     betas = list(betas)
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta grid must be strictly increasing")
-    rows = t_density_grid(spec, betas, _q_grid()[0])
-    return tuple(curve_sample(spec, beta, ts) for beta, ts in zip(betas, rows))
+    return _curve(spec, betas)
 
 
 def side_changes(sides):

@@ -190,7 +190,7 @@ def test_k4_not_a_counterexample():
 # sweep
 
 def test_sweep_small(monkeypatch, capsys):
-    rows = sweep_connected_graphs(4)
+    rows = list(sweep_connected_graphs(4))
     assert len(rows) == 9
     patterns = [r.classification.pattern for r in rows]
     assert all(p.endswith("K") for p in patterns)
@@ -218,7 +218,7 @@ def test_sweep_builds_each_census_once(monkeypatch):
         return spectrum(g)
 
     monkeypatch.setattr(classify, "spectrum", counting)
-    rows = sweep_connected_graphs(4)
+    rows = list(sweep_connected_graphs(4))
     assert len(rows) == len(calls) == 9
 
 
@@ -245,7 +245,7 @@ def test_sweep_requires_whole_k_pattern(monkeypatch):
 
     monkeypatch.setattr(classify, "_classify", broken)
     with pytest.raises(RuntimeError, match="forces K at every beta"):
-        sweep_connected_graphs(3)
+        list(sweep_connected_graphs(3))
 
 
 def test_sweep_cap():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -25,6 +26,12 @@ from copymax.density import (
     t_density,
     t_density_grid,
     _fractions,
+    _golden_lanes,
+    _golden_max,
+    _lane_sum,
+    _t_lanes,
+    _term_columns,
+    _term_sum,
 )
 from copymax.graphs import (
     Graph,
@@ -257,6 +264,78 @@ def test_flat_rule_only_on_k2_and_beta_one():
     assert flat == {(write_graph6(g), 1.0) for g in graphs} | {(k2, b) for b in betas}
 
 
+def _bits(values):
+    """Each float as float.hex, so -0.0 and 0.0 differ; anything else as is."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+@st.composite
+def graphs_without_isolated_vertices(draw, max_v=8):
+    """Any edge set on n vertices, each vertex left isolated then tied to
+    one other vertex."""
+    n = draw(st.integers(min_value=2, max_value=max_v))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)))
+    for v in range(n):
+        if not any(v in e for e in edges):
+            u = draw(st.integers(min_value=0, max_value=n - 2))
+            u += u >= v
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
+@given(graphs_without_isolated_vertices(), st.lists(st.tuples(unit, unit), min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_lane_sum_has_the_scalar_bits(g, points):
+    # every drawn (beta, q) also with beta and q at 0 and at 1, so empty
+    # classes (y = 0 at q = 0, r = 0 at q = 1, b = 0 at beta = 1) are hit
+    points = [(beta, q) for b0, q0 in points
+              for beta, q in ((b0, q0), (0.0, q0), (1.0, q0), (b0, 0.0), (b0, 1.0))]
+    spec = spectrum(g)
+    terms = spec.density_terms
+    columns = _term_columns(terms)
+    fractions = [_fractions(beta, q) for beta, q in points]
+    lanes = _lane_sum(columns, *(np.array(v) for v in zip(*fractions)))
+    assert _bits(lanes.tolist()) == _bits([_term_sum(terms, *f) for f in fractions])
+    betas, qs = (np.array(v) for v in zip(*points))
+    assert _bits(_t_lanes(columns, betas, qs).tolist()) == \
+        _bits([t_density(spec, beta, q) for beta, q in points])
+
+
+@given(connected_graphs(), st.lists(st.tuples(unit, st.integers(min_value=0, max_value=Q_GRID)),
+                                    min_size=1, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_lockstep_golden_matches_scalar_lane_by_lane(g, lanes):
+    # the brackets a grid maximum at index p gets, the two end ones 1/128 wide
+    lanes = [*lanes, (lanes[0][0], 0), (lanes[0][0], Q_GRID)]
+    spec = spectrum(g)
+    qf = np.linspace(0.0, 1.0, Q_GRID + 1).tolist()
+    brackets = [(qf[max(p - 1, 0)], qf[min(p + 1, Q_GRID)]) for _, p in lanes]
+    betas = [beta for beta, _ in lanes]
+    columns = _term_columns(spec.density_terms)
+    for n in (1, len(lanes)):
+        refined = _golden_lanes(spec, columns, betas[:n], brackets[:n])
+        scalar = [_golden_max(lambda q: t_density(spec, beta, q), lo, hi, density.REFINE_TOL)
+                  for beta, (lo, hi) in zip(betas[:n], brackets[:n])]
+        assert [_bits(qt) for qt in refined] == [_bits(qt) for qt in scalar]
+
+
+@pytest.mark.parametrize("g", [builtin_graph("G6"), complete_graph(2),
+                               clique_with_pendant_star(3, 4), clique_with_pendant_star(4, 8)],
+                         ids=["G6", "K2", "family 3,4", "family 4,8"])
+def test_curve_rows_match_one_beta_samples(g):
+    # K2's rows are all flat; the families' rows have several maxima to
+    # refine, and the grid ends at beta = 1, where every row is flat
+    spec = spectrum(g)
+    betas = classify.default_beta_grid()
+    assert betas[-1] == 1.0
+    curve = density_curve(spec, betas)
+    one = [curve_sample(spec, beta) for beta in betas]
+    assert curve == tuple(one)
+    assert [_bits(dataclasses.astuple(s)) for s in curve] == \
+        [_bits(dataclasses.astuple(s)) for s in one]
+
+
 def test_pruned_profiles_match_reference():
     # the sweep's own route: batched grid rows, maxima refined highest
     # first, brackets that cannot reach the threshold skipped
@@ -277,18 +356,27 @@ def test_pruned_profiles_match_reference():
 
 
 def test_sweep_refinement_count(monkeypatch):
-    calls = []
-    counted = density.t_density
+    # t is evaluated at a (beta, q) point by t_density (one lane) or as a
+    # lane of a _t_lanes call; both are counted
+    calls, lanes = [], []
+    scalar, lane = density.t_density, density._t_lanes
 
     def counting(*args):
         calls.append(args)
-        return counted(*args)
+        return scalar(*args)
+
+    def counting_lanes(columns, betas, qs):
+        lanes.extend(zip(betas.tolist(), qs.tolist()))
+        return lane(columns, betas, qs)
 
     monkeypatch.setattr(density, "t_density", counting)
-    rows = classify.sweep_connected_graphs(4)
+    monkeypatch.setattr(density, "_t_lanes", counting_lanes)
+    rows = list(classify.sweep_connected_graphs(4))
     assert [r.classification.pattern for r in rows] == ["K", "SK", "K", "SK", "K", "K", "K", "K", "K"]
-    # refining every local grid maximum took 70,618 calls
-    assert len(calls) == 46938
+    # refining every local grid maximum took 70,618 evaluations; refining
+    # the rows of a curve in lockstep leaves the count as it was
+    assert len(calls) + len(lanes) == 46938
+    assert len(calls) == 2376
 
 
 def test_density_terms_built_once(g6_spec):
