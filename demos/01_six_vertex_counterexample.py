@@ -11,10 +11,10 @@ import math
 
 from copymax import (
     automorphism_count,
-    best_t_density,
     builtin_graph,
     clique_density,
     crossover_beta,
+    curve_sample,
     spectrum,
     star_density,
     t_density,
@@ -56,6 +56,6 @@ print(f"\nthe interior host loses to the quasi-clique at beta = {root:.8f}")
 
 print("\noptimising over ALL q (not just 1/sqrt2):")
 for beta in (0.005, 0.02, 0.05):
-    prof = best_t_density(spec, beta)
-    kind = "interior" if 0 < prof.q_star < 1 else ("star" if prof.q_star == 0 else "clique")
-    print(f"  beta = {beta}: best q = {prof.q_star:.4f} ({kind}), value {prof.value:.5e}")
+    s = curve_sample(spec, beta)
+    kind = "interior" if 0 < s.q_star < 1 else ("star" if s.q_star == 0 else "clique")
+    print(f"  beta = {beta}: best q = {s.q_star:.4f} ({kind}), value {s.f_T:.5e}")

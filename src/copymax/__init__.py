@@ -35,9 +35,7 @@ from .weightings import (
 )
 from .density import (
     CurveSample,
-    ProfilePoint,
     attribute_winner,
-    best_t_density,
     clique_density,
     crossover_beta,
     crossover_bracket,

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .density import bisect_side, curve_sample, density_curve, side_changes
+from .density import BETA_TOL, bisect_side, curve_sample, density_curve, side_changes
 from .graphs import (
     MAX_ENUMERATION,
     Graph,
@@ -74,7 +74,7 @@ def default_beta_grid():
     return [float(b) for b in np.unique(grid)]
 
 
-def classify_type(g: Graph, tol: float = 1e-6) -> TypeClassification:
+def classify_type(g: Graph, tol: float = BETA_TOL) -> TypeClassification:
     if not tol > 0.0:                 # NaN included
         raise ValueError("tol must be positive")
     if not is_connected(g):
@@ -154,14 +154,12 @@ def sweep_connected_graphs(max_v: int):
     throughout when alpha* = v/2.  The graphs are enumerated here, so a
     bad max_v raises at the call; each row is classified when it is read,
     so a caller that keeps no row holds one at a time."""
-    if max_v > 5:
-        raise ValueError("the full numeric sweep is limited to 5 vertices")
     return map(_sweep_row, list(enumerate_connected_graphs(max_v)))
 
 
 def _sweep_row(g):
     spec = spectrum(g)
-    cls = _classify(g, spec, 1e-6)      # classify_type's default tol
+    cls = _classify(g, spec, BETA_TOL)
     predicted = _predicted_start(spec)
     # alpha* = v/2 bounds t by beta^(v/2) on every host (Friedgut-Kahn),
     # so the whole pattern must be K, not only its start

@@ -279,10 +279,10 @@ def build_parser():
     p.add_argument("--q1", required=True)
     p.add_argument("--q2", required=True)
     p.add_argument("--bracket", metavar="lo:hi")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=density.BETA_TOL)
 
     p = command("classify", cmd_classify, "S/T/K type pattern of one graph")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=density.BETA_TOL)
 
     p = command("classify-all", cmd_classify_all, "sweep all connected graphs up to max-v",
                 graph=False)

@@ -23,7 +23,7 @@ with the bits of a one-beta scan.
 
 The supremum over q is a grid scan plus golden-section refinement of the
 local grid maxima, skipping those that provably cannot reach the best
-value so far (best_t_density gives the rule and its proof).  A density
+value so far (_profiles gives the rule and its proof).  A density
 curve refines all its betas together: in each round every row's next
 maximum is refined by one lockstep golden-section search, whose lanes each
 take the scalar search's float steps and are evaluated in one lane sum.
@@ -44,26 +44,20 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, pairwise
-from typing import NamedTuple
 
 REL_TOL = 1e-12        # relative tolerance for "attains the supremum"
 Q_GRID = 128           # q grid intervals scanned before refinement
 BETA_CHUNK = 32        # betas per grid pass, bounding its temporaries
 REFINE_TOL = 1e-10     # golden-section bracket width on q
+BETA_TOL = 1e-6        # default bisection bracket width on beta
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class ProfilePoint(NamedTuple):
-    value: float       # sup over q of t(beta, q)
-    q_star: float      # smallest argmax (ties resolved within REL_TOL)
-    tie: bool          # another q far from q_star also attains the sup
 
 
 @dataclass(frozen=True)
 class CurveSample:
     beta: float
-    f_T: float
-    q_star: float
+    f_T: float         # sup over q of t(beta, q)
+    q_star: float      # smallest argmax (ties resolved within REL_TOL)
     t_star: float      # quasi-star density, q = 0
     t_clique: float    # quasi-clique density, q = 1
     winner: str        # "S", "T" or "K"
@@ -277,33 +271,8 @@ def _q_grid():
     return qs, tuple(qs.tolist())
 
 
-def best_t_density(spec, beta: float) -> ProfilePoint:
-    """Supremum of t(beta, q) over q in [0, 1].
-
-    Grid scan followed by golden-section refinement around local grid
-    maxima; t(q) may be multimodal.  The reported q_star is the smallest q
-    whose value is within REL_TOL (relative) of the best; a tie is flagged
-    when a well-separated q attains the same value.
-
-    The local maxima are refined in descending grid value, and one with
-    bracket [lo, hi] is skipped when the term sum at (y(hi), r(lo), b(lo)),
-    times 1 + 1e-9 for rounding, is below best * (1 - REL_TOL).  The skip
-    is exact: on [0, 1] y rises while r and b fall (b' = sqrt(beta)
-    (sqrt(beta) q/s - 1) <= 0, as s^2 = 1 - beta + beta q^2 >= beta q^2), so
-    no q in the bracket exceeds that sum, and best only grows, so the
-    skipped value could neither raise best nor reach the final threshold.
-
-    Flat rule: when the whole grid lies within REL_TOL of its maximum
-    (t = 1 at beta = 1 for every graph, t = beta for K2), every q attains
-    the sup, so the result is (grid max, 0, tie) with no refinement.  The
-    refinement would only have chased float noise, so on flat profiles the
-    value may differ from it by a few ulps; nothing printed changes.
-    """
-    return _profiles(spec, [beta], _term_columns(spec.density_terms))[0]
-
-
 def _bounds(spec, columns, lanes):
-    """best_t_density's skip bound, the term sum at (y(hi), r(lo), b(lo)),
+    """_profiles' skip bound, the term sum at (y(hi), r(lo), b(lo)),
     for each (beta, (lo, hi)) lane: by _term_sum at one lane, else by one
     _lane_sum call."""
     if len(lanes) == 1:
@@ -318,15 +287,36 @@ def _bounds(spec, columns, lanes):
     return _lane_sum(columns, y, r, b).tolist()
 
 
-def _profiles(spec, betas, columns):
-    """best_t_density at each beta of a list, each step taken for every
-    row at once: one batched grid pass, one peak scan, the skip bounds of
-    all local maxima in one lane sum, and the refinements in rounds.  Round
-    j refines, in every row, the next local maximum (highest first) whose
-    bound survives that row's best so far, so each row meets its maxima in
-    the order of a one-row call."""
+def _profiles(spec, betas):
+    """One CurveSample per beta of a list: f_T = sup of t(beta, q) over q
+    in [0, 1], its smallest argmax q_star (within REL_TOL relative; a tie
+    when a q more than 1e-6 away also attains f_T), both endpoint hosts
+    and the winner.
+
+    A grid scan, then golden-section refinement of the local grid maxima
+    (t(q) may be multimodal), highest first.  One with bracket [lo, hi] is
+    skipped when the term sum at (y(hi), r(lo), b(lo)), times 1 + 1e-9 for
+    rounding, is below best * (1 - REL_TOL).  The skip is exact: on [0, 1]
+    y rises while r and b fall (b' = sqrt(beta) (sqrt(beta) q/s - 1) <= 0,
+    as s^2 = 1 - beta + beta q^2 >= beta q^2), so no q in the bracket
+    exceeds that sum, and best only grows, so the skipped value could
+    neither raise best nor reach the final threshold.
+
+    Flat rule: when the whole grid lies within REL_TOL of its maximum
+    (t = 1 at beta = 1 for every graph, t = beta for K2), every q attains
+    the sup, so the sample is (grid max, 0, tie) with no refinement.  The
+    refinement would only have chased float noise, so on flat profiles f_T
+    may differ from it by a few ulps; nothing printed changes.
+
+    Each step is taken for every row at once: one batched grid pass, one
+    peak scan, one lane sum for the skip bounds of all maxima and one for
+    both endpoint hosts (a single lane keeps the scalar route), and the
+    refinements in rounds.  Round j refines, in every row, the next maximum
+    whose bound survives that row's best so far, so each row meets its
+    maxima in the order of a one-row call."""
     import numpy as np
 
+    columns = _term_columns(spec.density_terms)
     qs, qf = _q_grid()
     ts = t_density_grid(spec, betas, qs)
     top = ts.max(axis=1)
@@ -360,16 +350,24 @@ def _profiles(spec, betas, columns):
         for (i, _), (q, t) in zip(picks, refined):
             candidates[i].append((q, t))
             best[i] = max(best[i], t)
+    if len(betas) == 1:
+        ends = [(star_density(spec, betas[0]), clique_density(spec, betas[0]))]
+    else:
+        lanes = np.asarray(betas, dtype=float)
+        t0, t1 = np.split(_t_lanes(columns, np.concatenate((lanes, lanes)),
+                                   np.repeat([0.0, 1.0], len(betas))), 2)
+        ends = zip(t0.tolist(), t1.tolist())
     out = []
-    for i, value in enumerate(best):
-        if i not in candidates:
-            out.append(ProfilePoint(value, 0.0, True))
-            continue
-        threshold = value * (1.0 - REL_TOL) if value > 0.0 else 0.0
-        attaining = sorted(q for q, t in candidates[i] if t >= threshold)
-        q_star = attaining[0]
-        out.append(ProfilePoint(value, q_star, any(q - q_star > 1e-6 for q in attaining)))
-    return out
+    for i, (beta, value, (t0, t1)) in enumerate(zip(betas, best, ends)):
+        q_star, tie = 0.0, True
+        if i in candidates:
+            threshold = value * (1.0 - REL_TOL) if value > 0.0 else 0.0
+            attaining = sorted(q for q, t in candidates[i] if t >= threshold)
+            q_star = attaining[0]
+            tie = any(q - q_star > 1e-6 for q in attaining)
+        out.append(CurveSample(beta=beta, f_T=value, q_star=q_star, t_star=t0, t_clique=t1,
+                               winner=attribute_winner(value, t0, t1), tie=tie))
+    return tuple(out)
 
 
 def attribute_winner(f_T: float, t_star: float, t_clique: float) -> str:
@@ -383,31 +381,10 @@ def attribute_winner(f_T: float, t_star: float, t_clique: float) -> str:
     return "T"
 
 
-def _curve(spec, betas):
-    """One CurveSample per beta of a list: _profiles, and both endpoint
-    hosts by t_density at one beta, else by one _t_lanes call."""
-    import numpy as np
-
-    columns = _term_columns(spec.density_terms)
-    profiles = _profiles(spec, betas, columns)
-    if len(betas) == 1:
-        ends = [(star_density(spec, betas[0]), clique_density(spec, betas[0]))]
-    else:
-        lanes = np.asarray(betas, dtype=float)
-        t0, t1 = np.split(_t_lanes(columns, np.concatenate((lanes, lanes)),
-                                   np.repeat([0.0, 1.0], len(betas))), 2)
-        ends = zip(t0.tolist(), t1.tolist())
-    return tuple(CurveSample(beta=beta, f_T=prof.value, q_star=prof.q_star,
-                             t_star=t0, t_clique=t1,
-                             winner=attribute_winner(prof.value, t0, t1),
-                             tie=prof.tie)
-                 for beta, prof, (t0, t1) in zip(betas, profiles, ends))
-
-
 def curve_sample(spec, beta: float) -> CurveSample:
     """The optimised profile, both endpoint hosts and the winner at one
     beta."""
-    return _curve(spec, [beta])[0]
+    return _profiles(spec, [beta])[0]
 
 
 def density_curve(spec, betas) -> tuple:
@@ -416,7 +393,7 @@ def density_curve(spec, betas) -> tuple:
     betas = list(betas)
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta grid must be strictly increasing")
-    return _curve(spec, betas)
+    return _profiles(spec, betas)
 
 
 def side_changes(sides):
@@ -469,7 +446,7 @@ def crossover_bracket(spec, q1: float, q2: float):
     return betas[i], betas[i + 1]
 
 
-def crossover_beta(spec, q1: float, q2: float, bracket, tol: float = 1e-6) -> float:
+def crossover_beta(spec, q1: float, q2: float, bracket, tol: float = BETA_TOL) -> float:
     """Bisection root of t(., q1) - t(., q2) on a bracket inside (0, 1), to
     absolute tolerance tol on beta or until lo and hi are adjacent floats."""
     lo, hi = bracket

@@ -4,7 +4,7 @@ Everything here is deliberately naive (product scans, combinations
 filters, permutation scans, hardcoded limit polynomials, per-entry density
 loops, a log-log fit, the full primal LP, a general two-phase simplex) so
 that the library's routes can be checked against code that shares nothing
-with them.
+with them but the density module's grid size and tolerances.
 """
 
 import itertools
@@ -13,14 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from copymax.density import (
-    Q_GRID,
-    REFINE_TOL,
-    REL_TOL,
-    ProfilePoint,
-    _golden_max,
-    _fractions,
-)
+from copymax.density import Q_GRID, REFINE_TOL, REL_TOL
 from copymax.graphs import Graph
 
 
@@ -296,9 +289,19 @@ def are_isomorphic(a, b):
 # pass, the hoisted scalar sum and the flat-profile rule: one census entry
 # at a time, in (r, y, b) entry order
 
+def ref_fractions(beta, q):
+    """(y, r, b) at one (beta, q) in conjugate form: r = x / (1 + s) and
+    b = (1 - beta) / (s + y), with x = beta (1 - q^2) and s = sqrt(1 - x),
+    and b = 0 where s + y = 0 (beta = 1, q = 0)."""
+    x = beta * (1.0 - q * q)
+    s = math.sqrt(1.0 - x)
+    y = math.sqrt(beta) * q
+    return y, x / (1.0 + s), (1.0 - beta) / (s + y) if s + y > 0.0 else 0.0
+
+
 def ref_t_density(spec, beta, q):
     """Census sum for one (beta, q), term by term in log space."""
-    y, r, b = _fractions(beta, q)
+    y, r, b = ref_fractions(beta, q)
     ly = math.log(y) if y > 0.0 else None
     lr = math.log(r) if r > 0.0 else None
     lb = math.log(b) if b > 0.0 else None
@@ -345,8 +348,29 @@ def ref_t_density_grid(spec, beta, qs):
     return total
 
 
+def ref_golden_max(f, lo, hi, tol):
+    """(q, f(q)) at the end of a golden-section search for a maximum of f
+    on [lo, hi], stopped once the bracket is at most tol wide; the float
+    steps are those the library's refinement must take."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
 def ref_best_t_density(spec, beta):
-    """Grid scan, then golden-section refinement around every local grid
+    """(sup of t(beta, .) over [0, 1], smallest q attaining it, tie): a
+    grid scan, then golden-section refinement around every local grid
     maximum, flat profiles included."""
     qs = np.linspace(0.0, 1.0, Q_GRID + 1)
     ts = ref_t_density_grid(spec, beta, qs)
@@ -357,12 +381,12 @@ def ref_best_t_density(spec, beta):
         right = ts[i + 1] if i < Q_GRID else -math.inf
         if ts[i] >= left and ts[i] >= right:
             candidates.append((float(qs[i]), float(ts[i])))
-            qq, tt = _golden_max(f, float(qs[max(i - 1, 0)]),
-                                 float(qs[min(i + 1, Q_GRID)]), REFINE_TOL)
+            qq, tt = ref_golden_max(f, float(qs[max(i - 1, 0)]),
+                                    float(qs[min(i + 1, Q_GRID)]), REFINE_TOL)
             candidates.append((float(qq), float(tt)))
     best = max(t for _, t in candidates)
     threshold = best * (1.0 - REL_TOL) if best > 0.0 else 0.0
     attaining = sorted(q for q, t in candidates if t >= threshold)
     q_star = attaining[0]
     tie = any(q - q_star > 1e-6 for q in attaining)
-    return ProfilePoint(best, q_star, tie)
+    return best, q_star, tie

@@ -249,8 +249,9 @@ def test_sweep_requires_whole_k_pattern(monkeypatch):
 
 
 def test_sweep_cap():
-    with pytest.raises(ValueError):
-        sweep_connected_graphs(6)
+    # the class enumeration's own limit is the only cap
+    with pytest.raises(ValueError, match="limited to 8"):
+        sweep_connected_graphs(9)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import re
 import runpy
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,18 @@ def test_classify_all(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("graph6,v,e,alpha,alpha_star,A,pattern")
     assert len(lines) == 4  # header + K2, P2, K3
+
+
+def test_classify_all_six_vertices(capsys):
+    # the 6-vertex sweep runs, every row passing the sweep's start and
+    # K-throughout checks, and leaves the rows on <= 5 vertices as they were
+    assert main(["classify-all", "--max-v", "6"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert len(lines) == 1 + 142
+    assert "".join(lines[:31]) == (REFERENCES / "classify-all-max-v-5.out").read_text()
+    six = [ln.split(",") for ln in lines[31:]]
+    assert {row[1] for row in six} == {"6"}
+    assert Counter(row[6] for row in six) == {"K": 95, "SK": 14, "TK": 3}
 
 
 def test_search_finds_g6():

@@ -14,7 +14,6 @@ from copymax.density import (
     Q_GRID,
     REL_TOL,
     attribute_winner,
-    best_t_density,
     bisect_side,
     clique_density,
     crossover_beta,
@@ -192,12 +191,12 @@ def test_evaluators_match_reference(g, beta, qs):
     for grid in (qs, np.linspace(0.0, 1.0, Q_GRID + 1)):
         assert np.array_equal(t_density_grid(spec, beta, grid),
                               ref_t_density_grid(spec, beta, grid))
-    prof, ref = best_t_density(spec, beta), ref_best_t_density(spec, beta)
+    s, (value, q_star, tie) = curve_sample(spec, beta), ref_best_t_density(spec, beta)
     if _flat(spec, beta):
-        assert (prof.q_star, prof.tie) == (ref.q_star, ref.tie)
-        assert prof.value == pytest.approx(ref.value, rel=REL_TOL, abs=0.0)
+        assert (s.q_star, s.tie) == (q_star, tie)
+        assert s.f_T == pytest.approx(value, rel=REL_TOL, abs=0.0)
     else:
-        assert prof == ref
+        assert (s.f_T, s.q_star, s.tie) == (value, q_star, tie)
 
 
 small_betas = st.one_of(st.sampled_from([0.0, 1.0, 5e-324]),
@@ -244,15 +243,17 @@ def test_flat_profiles_skip_refinement(monkeypatch):
     # t = beta on every host for K2, and t = 1 at beta = 1 for every graph
     for spec, beta in ((k2, 0.3), (k2, 1e-5), (g6, 1.0)):
         assert _flat(spec, beta)
-        prof = best_t_density(spec, beta)
-        assert (prof.q_star, prof.tie) == (0.0, True)
-        assert prof.value == pytest.approx(ref_best_t_density(spec, beta).value,
-                                           rel=REL_TOL, abs=0.0)
-    assert calls == []
+        s = curve_sample(spec, beta)
+        assert (s.q_star, s.tie) == (0.0, True)
+        assert s.f_T == pytest.approx(ref_best_t_density(spec, beta)[0], rel=REL_TOL, abs=0.0)
+        # the two endpoint hosts, and no refinement
+        assert calls == [(spec, beta, 0.0), (spec, beta, 1.0)]
+        calls.clear()
     # refinement still goes through density.t_density, so a tracer counts it
     assert not _flat(g6, 0.3)
-    assert best_t_density(g6, 0.3) == ref_best_t_density(g6, 0.3)
-    assert calls
+    s = curve_sample(g6, 0.3)
+    assert (s.f_T, s.q_star, s.tie) == ref_best_t_density(g6, 0.3)
+    assert len(calls) > 2
 
 
 def test_flat_rule_only_on_k2_and_beta_one():
@@ -337,8 +338,9 @@ def test_curve_rows_match_one_beta_samples(g):
 
 
 def test_pruned_profiles_match_reference():
-    # the sweep's own route: batched grid rows, maxima refined highest
-    # first, brackets that cannot reach the threshold skipped
+    # the sweep's own routes: batched grid rows, maxima refined highest
+    # first, brackets that cannot reach the threshold skipped; and the
+    # bisection's one-beta samples, each maximum refined as a single lane
     graphs = [*enumerate_connected_graphs(6)]
     graphs += [clique_with_pendant_star(a, b) for a in (3, 4, 5) for b in (2, 3, 4)]
     betas = classify.default_beta_grid()[::8]
@@ -349,7 +351,9 @@ def test_pruned_profiles_match_reference():
             if _flat(spec, s.beta):
                 continue
             ref = ref_best_t_density(spec, s.beta)
-            assert (s.f_T, s.q_star, s.tie) == tuple(ref)
+            assert (s.f_T, s.q_star, s.tie) == ref
+            one = curve_sample(spec, s.beta)
+            assert (one.f_T, one.q_star, one.tie) == ref
             checked += 1
             interior += s.winner == "T"
     assert (checked, interior) == (2400, 74)
@@ -434,31 +438,31 @@ def test_star_vs_clique_small_beta():
 # profiles
 
 def test_profile_interior_win(g6_spec):
-    prof = best_t_density(g6_spec, 0.01)
-    assert prof.value > clique_density(g6_spec, 0.01) * (1.0 + 1e-9)
-    assert prof.value > star_density(g6_spec, 0.01) * (1.0 + 1e-9)
-    assert 0.0 < prof.q_star < 1.0
+    s = curve_sample(g6_spec, 0.01)
+    assert s.f_T > clique_density(g6_spec, 0.01) * (1.0 + 1e-9)
+    assert s.f_T > star_density(g6_spec, 0.01) * (1.0 + 1e-9)
+    assert 0.0 < s.q_star < 1.0
 
 
 def test_profile_clique_pattern():
     sp = spectrum(complete_graph(3))
     for beta in (0.01, 0.2, 0.8):
-        prof = best_t_density(sp, beta)
-        assert prof.value == pytest.approx(clique_density(sp, beta), rel=1e-12)
+        s = curve_sample(sp, beta)
+        assert s.f_T == pytest.approx(clique_density(sp, beta), rel=1e-12)
 
 
 def test_profile_beta_one_ties(g6_spec):
-    prof = best_t_density(g6_spec, 1.0)
-    assert prof.value == pytest.approx(1.0, rel=1e-12)
-    assert prof.q_star == 0.0
-    assert prof.tie
+    s = curve_sample(g6_spec, 1.0)
+    assert s.f_T == pytest.approx(1.0, rel=1e-12)
+    assert s.q_star == 0.0
+    assert s.tie
 
 
 def test_profile_dominates_endpoints(g6_spec):
     for beta in np.geomspace(1e-4, 1.0, 12):
-        prof = best_t_density(g6_spec, float(beta))
-        assert prof.value >= star_density(g6_spec, float(beta)) * (1 - 1e-15)
-        assert prof.value >= clique_density(g6_spec, float(beta)) * (1 - 1e-15)
+        s = curve_sample(g6_spec, float(beta))
+        assert s.f_T >= star_density(g6_spec, float(beta)) * (1 - 1e-15)
+        assert s.f_T >= clique_density(g6_spec, float(beta)) * (1 - 1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +567,6 @@ def test_density_curve_csv(g6_spec, monkeypatch, capsys):
 
 def test_curve_sample_matches_parts(g6_spec):
     s = curve_sample(g6_spec, 0.005)
-    prof = best_t_density(g6_spec, 0.005)
-    assert (s.f_T, s.q_star, s.tie) == (prof.value, prof.q_star, prof.tie)
     assert s.t_star == star_density(g6_spec, 0.005)
     assert s.t_clique == clique_density(g6_spec, 0.005)
     assert s.winner == attribute_winner(s.f_T, s.t_star, s.t_clique) == "T"
