@@ -22,16 +22,16 @@ density curve scans its betas in one pass per BETA_CHUNK rows, each row
 with the bits of a one-beta scan.
 
 The supremum over q is a grid scan plus golden-section refinement of the
-local grid maxima, skipping those that provably cannot reach the best
-value so far (_profiles gives the rule and its proof).  A density
-curve refines all its betas together: in each round every row's next
-maximum is refined by one lockstep golden-section search, whose lanes each
-take the scalar search's float steps and are evaluated in one lane sum.
-The lane sum is numpy elementwise arithmetic in the scalar loop's order,
-with math.log and math.exp mapped over the lanes (np.log and np.exp differ
-from them in the last bit), so every sample has the bits of a one-beta
-call.  A single lane (one beta, or one maximum left in a round) keeps the
-scalar route, which is cheaper than numpy there.
+local grid maxima, skipping those that provably cannot reach their row's
+grid maximum (_profiles gives the rule and its proof).  A density curve
+refines every surviving maximum of all its betas in one lockstep
+golden-section search, whose lanes each take the scalar search's float
+steps and are evaluated in one lane sum per step.  The lane sum is numpy
+elementwise arithmetic in the scalar loop's order, with math.log and
+math.exp mapped over the lanes (np.log and np.exp differ from them in the
+last bit), so every sample has the bits of a one-beta call.  A one-beta
+sample, as in the boundary bisection, takes the scalar route throughout,
+which is cheaper than numpy there.
 
 Every beta boundary (the S/T/K winner changes and the crossover of two q
 values) is found by one search: side_changes scans a grid for the first
@@ -226,20 +226,15 @@ def _golden_max(f, lo, hi, tol):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _golden_lanes(spec, columns, betas, brackets):
+def _golden_lanes(columns, betas, lo, hi):
     """_golden_max(t(beta, .), lo, hi, REFINE_TOL) as a (q, t) pair for each
-    beta and (lo, hi) bracket, the lanes stepped in lockstep: every lane
-    takes _golden_max's float ops and stops at its own b - a <= REFINE_TOL,
-    and the new points of one step are evaluated in one _t_lanes call.  A
-    single lane is refined by _golden_max itself, which costs less than
-    numpy does at one lane."""
-    if len(betas) == 1:
-        (beta,), ((lo, hi),) = betas, brackets
-        return [_golden_max(lambda q: t_density(spec, beta, q), lo, hi, REFINE_TOL)]
+    lane of the 1-D arrays betas, lo and hi, the lanes stepped in lockstep:
+    every lane takes _golden_max's float ops and stops at its own
+    b - a <= REFINE_TOL, and the new points of one step are evaluated in one
+    _t_lanes call."""
     import numpy as np
 
-    betas = np.array(betas)
-    a, b = np.array(brackets).T.copy()
+    a, b = lo.copy(), hi.copy()
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = np.split(_t_lanes(columns, np.concatenate((betas, betas)),
@@ -262,29 +257,13 @@ def _golden_lanes(spec, columns, betas, brackets):
 
 @lru_cache(maxsize=None)
 def _q_grid():
-    """The Q_GRID + 1 scan points on [0, 1], as a read-only array and as
-    floats; built on first use."""
+    """The Q_GRID + 1 scan points on [0, 1], as a read-only array; built on
+    first use."""
     import numpy as np
 
     qs = np.linspace(0.0, 1.0, Q_GRID + 1)
     qs.flags.writeable = False
-    return qs, tuple(qs.tolist())
-
-
-def _bounds(spec, columns, lanes):
-    """_profiles' skip bound, the term sum at (y(hi), r(lo), b(lo)),
-    for each (beta, (lo, hi)) lane: by _term_sum at one lane, else by one
-    _lane_sum call."""
-    if len(lanes) == 1:
-        ((beta, (lo, hi)),) = lanes
-        return [_term_sum(spec.density_terms, _fractions(beta, hi)[0],
-                          *_fractions(beta, lo)[1:])]
-    import numpy as np
-
-    betas, los, his = np.array([(beta, lo, hi) for beta, (lo, hi) in lanes]).reshape(-1, 3).T
-    y = _fractions(betas, his, np.sqrt)[0]
-    _, r, b = _fractions(betas, los, np.sqrt)
-    return _lane_sum(columns, y, r, b).tolist()
+    return qs
 
 
 def _profiles(spec, betas):
@@ -294,13 +273,16 @@ def _profiles(spec, betas):
     and the winner.
 
     A grid scan, then golden-section refinement of the local grid maxima
-    (t(q) may be multimodal), highest first.  One with bracket [lo, hi] is
-    skipped when the term sum at (y(hi), r(lo), b(lo)), times 1 + 1e-9 for
-    rounding, is below best * (1 - REL_TOL).  The skip is exact: on [0, 1]
-    y rises while r and b fall (b' = sqrt(beta) (sqrt(beta) q/s - 1) <= 0,
-    as s^2 = 1 - beta + beta q^2 >= beta q^2), so no q in the bracket
-    exceeds that sum, and best only grows, so the skipped value could
-    neither raise best nor reach the final threshold.
+    (t(q) may be multimodal).  One with bracket [lo, hi] is skipped when
+    the term sum at (y(hi), r(lo), b(lo)), times 1 + 1e-9 for rounding, is
+    below top * (1 - REL_TOL), top being its row's grid maximum.  The skip
+    is exact: on [0, 1] y rises while r and b fall
+    (b' = sqrt(beta) (sqrt(beta) q/s - 1) <= 0, as
+    s^2 = 1 - beta + beta q^2 >= beta q^2), so no q in the bracket exceeds
+    that sum, and f_T >= top, so the skipped value could neither raise f_T
+    nor reach the final threshold f_T * (1 - REL_TOL).  Every surviving
+    maximum of every row is refined in one pass; f_T, the attaining set
+    and q_star do not depend on the order of the candidates.
 
     Flat rule: when the whole grid lies within REL_TOL of its maximum
     (t = 1 at beta = 1 for every graph, t = beta for K2), every q attains
@@ -308,59 +290,55 @@ def _profiles(spec, betas):
     refinement would only have chased float noise, so on flat profiles f_T
     may differ from it by a few ulps; nothing printed changes.
 
-    Each step is taken for every row at once: one batched grid pass, one
-    peak scan, one lane sum for the skip bounds of all maxima and one for
-    both endpoint hosts (a single lane keeps the scalar route), and the
-    refinements in rounds.  Round j refines, in every row, the next maximum
-    whose bound survives that row's best so far, so each row meets its
-    maxima in the order of a one-row call."""
+    The route is chosen once per call.  One beta (a curve_sample, as in the
+    boundary bisection) takes the scalar route, cheaper than numpy at a few
+    lanes: _term_sum bounds, _golden_max per maximum and t_density at the
+    ends.  A curve takes the lane route: one _lane_sum for the bounds, one
+    _golden_lanes search over every surviving maximum and one _t_lanes
+    call for both endpoint hosts, each lane with the scalar route's bits."""
     import numpy as np
 
-    columns = _term_columns(spec.density_terms)
-    qs, qf = _q_grid()
+    qs = _q_grid()
     ts = t_density_grid(spec, betas, qs)
     top = ts.max(axis=1)
     flat = ts.min(axis=1) >= top * (1.0 - REL_TOL)
     edge = np.full((len(betas), 1), -math.inf)
     padded = np.concatenate((edge, ts, edge), axis=1)
-    peaky = (ts >= padded[:, :-2]) & (ts >= padded[:, 2:])
-    best = top.tolist()
-    candidates, brackets = {}, {}
-    for i in np.flatnonzero(~flat).tolist():
-        row = ts[i].tolist()
-        peaks = np.flatnonzero(peaky[i]).tolist()
-        peaks.sort(key=row.__getitem__, reverse=True)
-        candidates[i] = [(0.0, row[0]), (1.0, row[-1])] + [(qf[p], row[p]) for p in peaks]
-        brackets[i] = [(qf[max(p - 1, 0)], qf[min(p + 1, Q_GRID)]) for p in peaks]
-    bounds = iter(_bounds(spec, columns, [(betas[i], bracket) for i, row in brackets.items()
-                                          for bracket in row]))
-    queues = {i: iter([(bracket, next(bounds)) for bracket in row])
-              for i, row in brackets.items()}
-    while True:
-        picks = []
-        for i, queue in queues.items():
-            for bracket, bound in queue:
-                if bound * (1.0 + 1e-9) >= best[i] * (1.0 - REL_TOL):
-                    picks.append((i, bracket))
-                    break
-        if not picks:
-            break
-        refined = _golden_lanes(spec, columns, [betas[i] for i, _ in picks],
-                                [bracket for _, bracket in picks])
-        for (i, _), (q, t) in zip(picks, refined):
-            candidates[i].append((q, t))
-            best[i] = max(best[i], t)
+    rows, peaks = np.nonzero((ts >= padded[:, :-2]) & (ts >= padded[:, 2:]) & ~flat[:, None])
+    lanes = np.asarray(betas, dtype=float)[rows]
+    lo, hi = qs[np.maximum(peaks - 1, 0)], qs[np.minimum(peaks + 1, Q_GRID)]
+    # each maximum's skip bound is the term sum at (y(hi), r(lo), b(lo))
+    y = _fractions(lanes, hi, np.sqrt)[0]
+    _, r, b = _fractions(lanes, lo, np.sqrt)
     if len(betas) == 1:
+        bounds = [_term_sum(spec.density_terms, *v) for v in zip(y.tolist(), r.tolist(), b.tolist())]
         ends = [(star_density(spec, betas[0]), clique_density(spec, betas[0]))]
+
+        def refine(keep):
+            return [_golden_max(lambda q: t_density(spec, betas[0], q), *bracket, REFINE_TOL)
+                    for bracket in zip(lo[keep].tolist(), hi[keep].tolist())]
     else:
-        lanes = np.asarray(betas, dtype=float)
-        t0, t1 = np.split(_t_lanes(columns, np.concatenate((lanes, lanes)),
-                                   np.repeat([0.0, 1.0], len(betas))), 2)
+        columns = _term_columns(spec.density_terms)
+        bounds = _lane_sum(columns, y, r, b)
+        both = np.tile(np.asarray(betas, dtype=float), 2)
+        t0, t1 = np.split(_t_lanes(columns, both, np.repeat([0.0, 1.0], len(betas))), 2)
         ends = zip(t0.tolist(), t1.tolist())
+
+        def refine(keep):
+            return _golden_lanes(columns, lanes[keep], lo[keep], hi[keep])
+    keep = np.flatnonzero(np.asarray(bounds) * (1.0 + 1e-9) >= top[rows] * (1.0 - REL_TOL))
+    grid_ends = ts[:, [0, -1]].tolist()
+    candidates = {i: [(0.0, grid_ends[i][0]), (1.0, grid_ends[i][1])]
+                  for i in np.flatnonzero(~flat).tolist()}
+    for i, q, t in zip(rows.tolist(), qs[peaks].tolist(), ts[rows, peaks].tolist()):
+        candidates[i].append((q, t))
+    for i, qt in zip(rows[keep].tolist(), refine(keep)):
+        candidates[i].append(qt)
     out = []
-    for i, (beta, value, (t0, t1)) in enumerate(zip(betas, best, ends)):
+    for i, (beta, value, (t0, t1)) in enumerate(zip(betas, top.tolist(), ends)):
         q_star, tie = 0.0, True
         if i in candidates:
+            value = max(t for _, t in candidates[i])
             threshold = value * (1.0 - REL_TOL) if value > 0.0 else 0.0
             attaining = sorted(q for q, t in candidates[i] if t >= threshold)
             q_star = attaining[0]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -315,10 +316,22 @@ def test_lockstep_golden_matches_scalar_lane_by_lane(g, lanes):
     betas = [beta for beta, _ in lanes]
     columns = _term_columns(spec.density_terms)
     for n in (1, len(lanes)):
-        refined = _golden_lanes(spec, columns, betas[:n], brackets[:n])
-        scalar = [_golden_max(lambda q: t_density(spec, beta, q), lo, hi, density.REFINE_TOL)
-                  for beta, (lo, hi) in zip(betas[:n], brackets[:n])]
+        lo, hi = np.array(brackets[:n]).T
+        refined = _golden_lanes(columns, np.array(betas[:n]), lo, hi)
+        scalar = [_golden_max(lambda q: t_density(spec, beta, q), *bracket, density.REFINE_TOL)
+                  for beta, bracket in zip(betas[:n], brackets[:n])]
         assert [_bits(qt) for qt in refined] == [_bits(qt) for qt in scalar]
+
+
+def _assert_rows_match_samples(spec, betas):
+    # the lane route (a curve) and the scalar route (one beta) agree bit for
+    # bit, and both hold plain Python values, not numpy scalars
+    curve = density_curve(spec, betas)
+    one = [curve_sample(spec, beta) for beta in betas]
+    assert curve == tuple(one)
+    assert [_bits(dataclasses.astuple(s)) for s in curve] == \
+        [_bits(dataclasses.astuple(s)) for s in one]
+    assert {type(v) for s in (*curve, *one) for v in dataclasses.astuple(s)} <= {float, bool, str}
 
 
 @pytest.mark.parametrize("g", [builtin_graph("G6"), complete_graph(2),
@@ -327,20 +340,44 @@ def test_lockstep_golden_matches_scalar_lane_by_lane(g, lanes):
 def test_curve_rows_match_one_beta_samples(g):
     # K2's rows are all flat; the families' rows have several maxima to
     # refine, and the grid ends at beta = 1, where every row is flat
-    spec = spectrum(g)
     betas = classify.default_beta_grid()
     assert betas[-1] == 1.0
-    curve = density_curve(spec, betas)
-    one = [curve_sample(spec, beta) for beta in betas]
-    assert curve == tuple(one)
-    assert [_bits(dataclasses.astuple(s)) for s in curve] == \
-        [_bits(dataclasses.astuple(s)) for s in one]
+    _assert_rows_match_samples(spectrum(g), betas)
+
+
+@given(connected_graphs(max_v=7), st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6))
+@settings(max_examples=30, deadline=None)
+def test_random_curve_rows_match_one_beta_samples(g, inner):
+    # beta = 0 and beta = 1 are flat rows for every graph
+    _assert_rows_match_samples(spectrum(g), sorted({0.0, 1.0, *inner}))
+
+
+def test_route_follows_the_beta_count(monkeypatch):
+    # one beta takes the scalar route throughout and a curve the lane route
+    # throughout, also when a single maximum is left to refine in a curve
+    # (the default grid for G6 has rows with one surviving maximum)
+    calls = Counter()
+    for name in ("_golden_max", "_term_sum", "_golden_lanes", "_lane_sum", "_t_lanes"):
+        def counting(*args, _name=name, _f=getattr(density, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(density, name, counting)
+    g6 = spectrum(builtin_graph("G6"))
+    curve_sample(g6, 0.3)
+    assert calls["_golden_max"] and calls["_term_sum"]
+    assert calls["_golden_lanes"] == calls["_lane_sum"] == calls["_t_lanes"] == 0
+    for betas in ([0.01, 0.3], classify.default_beta_grid()):
+        calls.clear()
+        density_curve(g6, betas)
+        assert calls["_golden_lanes"] == 1 and calls["_lane_sum"] and calls["_t_lanes"]
+        assert calls["_golden_max"] == calls["_term_sum"] == 0
 
 
 def test_pruned_profiles_match_reference():
-    # the sweep's own routes: batched grid rows, maxima refined highest
-    # first, brackets that cannot reach the threshold skipped; and the
-    # bisection's one-beta samples, each maximum refined as a single lane
+    # the sweep's own routes: a curve's batched grid rows, every surviving
+    # maximum refined in one lockstep search, brackets bounded below the
+    # row's grid maximum skipped; and the bisection's one-beta samples, each
+    # maximum refined by the scalar search
     graphs = [*enumerate_connected_graphs(6)]
     graphs += [clique_with_pendant_star(a, b) for a in (3, 4, 5) for b in (2, 3, 4)]
     betas = classify.default_beta_grid()[::8]
@@ -360,10 +397,12 @@ def test_pruned_profiles_match_reference():
 
 
 def test_sweep_refinement_count(monkeypatch):
-    # t is evaluated at a (beta, q) point by t_density (one lane) or as a
-    # lane of a _t_lanes call; both are counted
-    calls, lanes = [], []
-    scalar, lane = density.t_density, density._t_lanes
+    # t is evaluated at a (beta, q) point by t_density (the scalar route) or
+    # as a lane of a _t_lanes call (the lane route); both are counted, and
+    # so are the scalar evaluations made inside the bisection's one-beta
+    # samples
+    calls, lanes, in_samples = [], [], []
+    scalar, lane, sample = density.t_density, density._t_lanes, classify.curve_sample
 
     def counting(*args):
         calls.append(args)
@@ -373,14 +412,24 @@ def test_sweep_refinement_count(monkeypatch):
         lanes.extend(zip(betas.tolist(), qs.tolist()))
         return lane(columns, betas, qs)
 
+    def counting_sample(spec, beta):
+        before = len(calls)
+        out = sample(spec, beta)
+        in_samples.append(len(calls) - before)
+        return out
+
     monkeypatch.setattr(density, "t_density", counting)
     monkeypatch.setattr(density, "_t_lanes", counting_lanes)
+    monkeypatch.setattr(classify, "curve_sample", counting_sample)
     rows = list(classify.sweep_connected_graphs(4))
     assert [r.classification.pattern for r in rows] == ["K", "SK", "K", "SK", "K", "K", "K", "K", "K"]
     # refining every local grid maximum took 70,618 evaluations; refining
-    # the rows of a curve in lockstep leaves the count as it was
+    # the rows of a curve in lockstep, and skipping against the grid
+    # maximum, leave the count as it was
     assert len(calls) + len(lanes) == 46938
-    assert len(calls) == 2376
+    # curves take the lane route, so every scalar evaluation is one of the
+    # one-beta samples'
+    assert len(calls) == sum(in_samples) == 2296
 
 
 def test_density_terms_built_once(g6_spec):
