@@ -4,10 +4,12 @@ Sweeping the edge density from 0 to 1 and asking which host attains the
 best density partitions [0, 1] into S (quasi-star wins), T (a strictly
 interior three-class host wins) and K (quasi-clique wins) regions.  A
 graph's pattern is its winner sequence on the beta grid, with one bisected
-boundary per change.  The K tail is a proven fact, the rest is numerics:
-every connected graph on at most 7 vertices is K, SK, TK or STK, but three
-on 8 vertices are TSK (clique_with_pendant_star(3, 4) among them), and
-family (4, 8) is TSTK.
+boundary per change.  A pattern is K exactly when alpha* = v/2, a
+theorem: alpha* = v/2 forces K (Friedgut-Kahn), which _sweep_row checks,
+and alpha* > v/2 predicts an S or T start.  The rest is numerics: every
+connected graph on at most 7 vertices is K, SK, TK or STK, but three on 8
+vertices are TSK (clique_with_pendant_star(3, 4) among them), and family
+(4, 8) is TSTK.
 
 The module also hunts for graphs whose interior region is provably
 non-empty (fractional independence number exceeding both the independence

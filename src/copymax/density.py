@@ -17,6 +17,19 @@ y, r and b): the naive expressions lose ~5 decimal digits to cancellation
 at small beta, which is fatal for the 1e-12-relative endpoint comparisons
 below.
 
+One loop, _term_sum, adds the terms mult * exp(y_phi log y + r_phi log r
++ b_phi log b) in entry order, with math.exp for one (beta, q) and np.exp
+for the grid.  A class is empty at Nagy's hosts (y = 0 at q = 0, r = 0 at
+q = 1) and at beta = 1 (b = 0), and a term that counts an empty class is
+0.  The one encoding of that rule is the log _EMPTY_LOG = -1e300 given to
+an empty class, and it drops exactly those terms, bit for bit.  A count 0
+times it is -0.0, which added to an exponent leaves its bits (and exp(0)
+is 1 either way).  Counts c >= 1 on empty classes (c <= v <= 62, graph6's
+limit) make the exponent c * -1e300 plus at most 62 * 745 in size from
+the live logs, so it lies in about [-6.2e301, -1e300]: no overflow, and
+its exp is exactly 0.0 in math and in numpy (whose underflow is ignored
+by default), so the term adds +0.0 to a sum that is never negative.
+
 The grid evaluator takes an array of betas as well as an array of q, so a
 density curve scans its betas in one pass per BETA_CHUNK rows, each row
 with the bits of a one-beta scan.
@@ -26,12 +39,10 @@ local grid maxima, skipping those that provably cannot reach their row's
 grid maximum (_profiles gives the rule and its proof).  A density curve
 refines every surviving maximum of all its betas in one lockstep
 golden-section search, whose lanes each take the scalar search's float
-steps and are evaluated in one lane sum per step.  The lane sum is numpy
-elementwise arithmetic in the scalar loop's order, with math.log and
-math.exp mapped over the lanes (np.log and np.exp differ from them in the
-last bit), so every sample has the bits of a one-beta call.  A one-beta
-sample, as in the boundary bisection, takes the scalar route throughout,
-which is cheaper than numpy there.
+steps and are evaluated in one lane sum per step, with the scalar sum's
+bits (_lane_sum), so every sample has the bits of a one-beta call.  A
+one-beta sample, as in the boundary bisection, takes the scalar route
+throughout, which is cheaper than numpy there.
 
 Every beta boundary (the S/T/K winner changes and the crossover of two q
 values) is found by one search: side_changes scans a grid for the first
@@ -50,6 +61,7 @@ Q_GRID = 128           # q grid intervals scanned before refinement
 BETA_CHUNK = 32        # betas per grid pass, bounding its temporaries
 REFINE_TOL = 1e-10     # golden-section bracket width on q
 BETA_TOL = 1e-6        # default bisection bracket width on beta
+_EMPTY_LOG = -1e300    # the log of an empty class (module docstring)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -85,34 +97,26 @@ def _fractions(beta, q, sqrt=math.sqrt):
     return y, r, b
 
 
-def _live_terms(terms, y, r, b):
-    """The terms with no positive count on an empty class (the rest are 0);
-    apart from the hot loop in _term_sum, so that loop reads no closure
-    cells."""
-    return [t for t in terms if not (y <= 0.0 and t[0] or r <= 0.0 and t[1]
-                                     or b <= 0.0 and t[2])]
+def _logs(y, r, b):
+    """math.log of each class fraction, with _EMPTY_LOG for an empty class."""
+    return (math.log(y) if y > 0.0 else _EMPTY_LOG, math.log(r) if r > 0.0 else _EMPTY_LOG,
+            math.log(b) if b > 0.0 else _EMPTY_LOG)
 
 
-def _term_sum(terms, y, r, b):
-    """sum of mult * y^yc r^rc b^bc over the (yc, rc, bc, mult) terms, each
-    term evaluated in log space and added in entry order."""
-    if y > 0.0 and r > 0.0 and b > 0.0:
-        ly, lr, lb = math.log(y), math.log(r), math.log(b)
-    else:
-        # the terms left count the empty class 0 times, so log 0.0 in its
-        # place adds +-0.0 to the exponent: the same bits as skipping it
-        terms = _live_terms(terms, y, r, b)
-        ly, lr, lb = (math.log(v) if v > 0.0 else 0.0 for v in (y, r, b))
+def _term_sum(terms, ly, lr, lb, exp):
+    """sum of mult * exp(yc ly + rc lr + bc lb) over the (yc, rc, bc, mult)
+    terms, added in entry order: the census sum in log space, on Python
+    floats with exp=math.exp or elementwise on arrays with exp=np.exp."""
     total = 0.0
     for yc, rc, bc, mult in terms:
-        total += mult * math.exp(yc * ly + rc * lr + bc * lb)
+        total += mult * exp(yc * ly + rc * lr + bc * lb)
     return total
 
 
 def t_density(spec, beta: float, q: float) -> float:
     """Census sum for one (beta, q)."""
     _check_range(beta, q)
-    return _term_sum(spec.density_terms, *_fractions(beta, q))
+    return _term_sum(spec.density_terms, *_logs(*_fractions(beta, q)), math.exp)
 
 
 def _check_grid(name, values):
@@ -126,12 +130,10 @@ def t_density_grid(spec, beta, qs):
     """t(beta, q) over one beta or a 1-D array of betas and a 1-D array of
     q values, as an array of shape beta.shape + qs.shape.
 
-    Betas are taken BETA_CHUNK rows at a time.  Each census entry adds its
-    nonzero count * log columns to an exponent that starts at 0 in (y, r, b)
-    order (log 0 = -inf makes a term on an empty class exp(-inf) = 0), and
-    the terms are added as a running sum in entry order (np.sum may add
-    pairwise, which moves the last bits).  No element depends on another,
-    so each row of a batched call has the bits of a one-beta call."""
+    Betas are taken BETA_CHUNK rows at a time, each chunk summed by one
+    _term_sum call on its np.log columns (an empty class at _EMPTY_LOG).
+    No element depends on another, so each row of a batched call has the
+    bits of a one-beta call."""
     import numpy as np
 
     betas = np.asarray(beta, dtype=float)
@@ -142,14 +144,8 @@ def t_density_grid(spec, beta, qs):
     for lo in range(0, betas.size, BETA_CHUNK):
         rows = betas.reshape(-1, 1)[lo:lo + BETA_CHUNK]
         with np.errstate(divide="ignore"):
-            logs = [np.log(v) for v in _fractions(rows, qs, np.sqrt)]
-        total = out[lo:lo + BETA_CHUNK]
-        for *counts, mult in spec.density_terms:
-            acc = 0.0
-            for count, lg in zip(counts, logs):
-                if count:
-                    acc = acc + count * lg
-            total += mult * np.exp(acc)
+            logs = [np.maximum(np.log(v), _EMPTY_LOG) for v in _fractions(rows, qs, np.sqrt)]
+        out[lo:lo + BETA_CHUNK] = _term_sum(spec.density_terms, *logs, np.exp)
     return out.reshape(betas.shape + qs.shape)
 
 
@@ -175,27 +171,27 @@ def _term_columns(terms):
 
 
 def _lane_sum(columns, y, r, b):
-    """_term_sum at every lane of the 1-D arrays y, r and b, with its bits.
+    """_term_sum(terms, *_logs(y, r, b), math.exp) at every lane of the 1-D
+    arrays y, r and b, with its bits.
 
     Each numpy op is elementwise and is an op of the scalar loop, taken in
     its order: the count * log products, the exponent summed in (y, r, b)
     order, mult * exp, and a running sum over the terms in entry order
     (np.sum or @ would change that order).  The logs and exps are math's,
     mapped over the lanes, because np.log and np.exp differ from them in
-    the last bit at some points.  An empty class gets log 0.0 and the terms
-    that count it are zeroed: the terms _live_terms drops."""
+    the last bit at some points; an empty class gets _EMPTY_LOG.  This
+    (terms x lanes) form maps math.exp once per call; _term_sum on lanes
+    would map it once per term, which made curves 25% slower."""
     import numpy as np
 
     counts, mult = columns
     classes = np.stack((y, r, b))
     live = classes > 0.0
-    logs = np.zeros(classes.shape)
+    logs = np.full(classes.shape, _EMPTY_LOG)
     logs[live] = np.fromiter(map(math.log, classes[live].tolist()), float)
     exponent = counts[:, :1] * logs[0] + counts[:, 1:2] * logs[1] + counts[:, 2:] * logs[2]
     terms = mult * np.fromiter(map(math.exp, exponent.ravel().tolist()), float,
                                exponent.size).reshape(exponent.shape)
-    if not live.all():
-        terms[((counts[:, :, None] > 0.0) & ~live).any(axis=1)] = 0.0
     total = np.zeros(len(y))
     for row in terms:
         total += row
@@ -311,7 +307,8 @@ def _profiles(spec, betas):
     y = _fractions(lanes, hi, np.sqrt)[0]
     _, r, b = _fractions(lanes, lo, np.sqrt)
     if len(betas) == 1:
-        bounds = [_term_sum(spec.density_terms, *v) for v in zip(y.tolist(), r.tolist(), b.tolist())]
+        bounds = [_term_sum(spec.density_terms, *_logs(*v), math.exp)
+                  for v in zip(y.tolist(), r.tolist(), b.tolist())]
         ends = [(star_density(spec, betas[0]), clique_density(spec, betas[0]))]
 
         def refine(keep):

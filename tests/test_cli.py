@@ -5,6 +5,7 @@ import runpy
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,10 @@ def test_classify_all_six_vertices(capsys):
     six = [ln.split(",") for ln in lines[31:]]
     assert {row[1] for row in six} == {"6"}
     assert Counter(row[6] for row in six) == {"K": 95, "SK": 14, "TK": 3}
+    # K throughout exactly when alpha* = v/2: alpha* = v/2 forces K
+    # (Friedgut-Kahn), and alpha* > v/2 makes S or T win at small beta
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert all((row[6] == "K") == (2 * Fraction(row[4]) == int(row[1])) for row in rows)
 
 
 def test_search_finds_g6():

@@ -29,6 +29,7 @@ from copymax.density import (
     _golden_lanes,
     _golden_max,
     _lane_sum,
+    _logs,
     _t_lanes,
     _term_columns,
     _term_sum,
@@ -298,10 +299,28 @@ def test_lane_sum_has_the_scalar_bits(g, points):
     columns = _term_columns(terms)
     fractions = [_fractions(beta, q) for beta, q in points]
     lanes = _lane_sum(columns, *(np.array(v) for v in zip(*fractions)))
-    assert _bits(lanes.tolist()) == _bits([_term_sum(terms, *f) for f in fractions])
+    scalar = [_term_sum(terms, *_logs(*f), math.exp) for f in fractions]
+    assert _bits(lanes.tolist()) == _bits(scalar)
     betas, qs = (np.array(v) for v in zip(*points))
     assert _bits(_t_lanes(columns, betas, qs).tolist()) == \
         _bits([t_density(spec, beta, q) for beta, q in points])
+
+
+@pytest.mark.parametrize("name", ["C16", "star15", "K16"])
+def test_empty_class_rule_at_the_census_cap(name):
+    # the largest counts the census allows (16 vertices) on every empty
+    # class: y = 0 at q = 0 or beta = 0, r = 0 at q = 1 or beta <= 5e-324,
+    # b = 0 at beta = 1, and two classes empty at once at (0, q) and (1, 0)
+    spec = spectrum(builtin_graph(name))
+    assert spec.v == 16
+    betas, qs = [0.0, 5e-324, 0.3, 1.0], [0.0, 0.5, 1.0]
+    points = [(beta, q) for beta in betas for q in qs]
+    scalar = [t_density(spec, beta, q) for beta, q in points]
+    assert scalar == [ref_t_density(spec, beta, q) for beta, q in points]
+    for beta, row in zip(betas, t_density_grid(spec, betas, qs)):
+        assert np.array_equal(row, ref_t_density_grid(spec, beta, qs))
+    lanes = _t_lanes(_term_columns(spec.density_terms), *(np.array(v) for v in zip(*points)))
+    assert _bits(lanes.tolist()) == _bits(scalar)
 
 
 @given(connected_graphs(), st.lists(st.tuples(unit, st.integers(min_value=0, max_value=Q_GRID)),
@@ -353,24 +372,25 @@ def test_random_curve_rows_match_one_beta_samples(g, inner):
 
 
 def test_route_follows_the_beta_count(monkeypatch):
-    # one beta takes the scalar route throughout and a curve the lane route
-    # throughout, also when a single maximum is left to refine in a curve
-    # (the default grid for G6 has rows with one surviving maximum)
+    # one beta takes the scalar route throughout (t_density and _golden_max)
+    # and a curve the lane route throughout (_t_lanes, _lane_sum and
+    # _golden_lanes), also when a single maximum is left to refine in a
+    # curve (the default grid for G6 has rows with one surviving maximum)
     calls = Counter()
-    for name in ("_golden_max", "_term_sum", "_golden_lanes", "_lane_sum", "_t_lanes"):
+    for name in ("_golden_max", "t_density", "_golden_lanes", "_lane_sum", "_t_lanes"):
         def counting(*args, _name=name, _f=getattr(density, name)):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(density, name, counting)
     g6 = spectrum(builtin_graph("G6"))
     curve_sample(g6, 0.3)
-    assert calls["_golden_max"] and calls["_term_sum"]
+    assert calls["_golden_max"] and calls["t_density"]
     assert calls["_golden_lanes"] == calls["_lane_sum"] == calls["_t_lanes"] == 0
     for betas in ([0.01, 0.3], classify.default_beta_grid()):
         calls.clear()
         density_curve(g6, betas)
         assert calls["_golden_lanes"] == 1 and calls["_lane_sum"] and calls["_t_lanes"]
-        assert calls["_golden_max"] == calls["_term_sum"] == 0
+        assert calls["_golden_max"] == calls["t_density"] == 0
 
 
 def test_pruned_profiles_match_reference():
