@@ -22,8 +22,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import tee
 
-from .density import BETA_TOL, bisect_side, curve_sample, density_curve, side_changes
+from .density import (
+    BETA_TOL,
+    bisect_side,
+    curve_sample,
+    density_curve,
+    density_curves,
+    side_changes,
+)
 from .graphs import (
     MAX_ENUMERATION,
     Graph,
@@ -73,7 +81,7 @@ def default_beta_grid():
     import numpy as np
 
     grid = np.concatenate([np.geomspace(1e-5, 0.1, 40), np.linspace(0.1, 1.0, 90)])
-    return [float(b) for b in np.unique(grid)]
+    return sorted(set(grid.tolist()))
 
 
 def classify_type(g: Graph, tol: float = BETA_TOL) -> TypeClassification:
@@ -81,11 +89,12 @@ def classify_type(g: Graph, tol: float = BETA_TOL) -> TypeClassification:
         raise ValueError("tol must be positive")
     if not is_connected(g):
         raise ValueError("classification requires a connected graph")
-    return _classify(g, spectrum(g), tol)
+    spec = spectrum(g)
+    return _classify(g, spec, tol, density_curve(spec, default_beta_grid()))
 
 
-def _classify(g, spec, tol):
-    samples = density_curve(spec, default_beta_grid())
+def _classify(g, spec, tol, samples):
+    """The classification whose default-grid curve is samples."""
     winners = [s.winner for s in samples]
     changes = list(side_changes(winners))
     # the grid already gave the winner at samples[i], so it is passed in
@@ -154,14 +163,16 @@ def sweep_connected_graphs(max_v: int):
     """Classify every connected graph on 2..max_v vertices, checking that
     each numeric pattern starts with the exponent prediction and is K
     throughout when alpha* = v/2.  The graphs are enumerated here, so a
-    bad max_v raises at the call; each row is classified when it is read,
-    so a caller that keeps no row holds one at a time."""
-    return map(_sweep_row, list(enumerate_connected_graphs(max_v)))
+    bad max_v raises at the call.  Each row is classified when it is read,
+    from a curve that density_curves refines together with the rest of its
+    chunk, so a caller that keeps no row holds one chunk at a time."""
+    graphs = list(enumerate_connected_graphs(max_v))
+    specs, curve_specs = tee(map(spectrum, graphs))
+    return map(_sweep_row, graphs, specs, density_curves(curve_specs, default_beta_grid()))
 
 
-def _sweep_row(g):
-    spec = spectrum(g)
-    cls = _classify(g, spec, BETA_TOL)
+def _sweep_row(g, spec, samples):
+    cls = _classify(g, spec, BETA_TOL, samples)
     predicted = _predicted_start(spec)
     # alpha* = v/2 bounds t by beta^(v/2) on every host (Friedgut-Kahn),
     # so the whole pattern must be K, not only its start

@@ -36,13 +36,23 @@ with the bits of a one-beta scan.
 
 The supremum over q is a grid scan plus golden-section refinement of the
 local grid maxima, skipping those that provably cannot reach their row's
-grid maximum (_profiles gives the rule and its proof).  A density curve
-refines every surviving maximum of all its betas in one lockstep
-golden-section search, whose lanes each take the scalar search's float
-steps and are evaluated in one lane sum per step, with the scalar sum's
-bits (_lane_sum), so every sample has the bits of a one-beta call.  A
+grid maximum (_profiles gives the rule and its proof).  The curves of up
+to GRAPH_CHUNK censuses refine every surviving maximum of all their rows
+in one lockstep golden-section search, whose lanes each take the scalar
+search's float steps and are evaluated in one _lane_sum call per step.  A
 one-beta sample, as in the boundary bisection, takes the scalar route
 throughout, which is cheaper than numpy there.
+
+A lane (g, y, r, b) of _lane_sum has the bits of _term_sum(terms of census
+g, *_logs(y, r, b), math.exp), as it does the same IEEE ops on the same
+operands: math.log of the same fractions, each exponent yc ly + rc lr +
+bc lb in that order (counts <= 62 are exact as floats), its math.exp, and
+mult * exp added to a running total in the census's entry order.  Lanes
+with equal (y, r, b) share their logs, and share an exp per count triple,
+which changes no operand.  An entry that pads a census to the table's
+width has mult 0.0, and every log is <= 0 (no fraction exceeds 1), so its
+exp is finite and the term is +0.0, which leaves the bits of a total that
+is never negative.  So every curve sample has the bits of a one-beta call.
 
 Every beta boundary (the S/T/K winner changes and the crossover of two q
 values) is found by one search: side_changes scans a grid for the first
@@ -54,11 +64,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, pairwise
+from itertools import chain, islice, pairwise
 
 REL_TOL = 1e-12        # relative tolerance for "attains the supremum"
 Q_GRID = 128           # q grid intervals scanned before refinement
 BETA_CHUNK = 32        # betas per grid pass, bounding its temporaries
+GRAPH_CHUNK = 8        # censuses refined together, bounding their lanes
 REFINE_TOL = 1e-10     # golden-section bracket width on q
 BETA_TOL = 1e-6        # default bisection bracket width on beta
 _EMPTY_LOG = -1e300    # the log of an empty class (module docstring)
@@ -161,48 +172,55 @@ def star_density(spec, beta: float) -> float:
     return t_density(spec, beta, 0.0)
 
 
-def _term_columns(terms):
-    """The (yc, rc, bc, mult) terms as a (k, 3) count matrix and a (k, 1)
-    multiplicity column, the form _lane_sum reads."""
+def _census_table(specs):
+    """A chunk's censuses as _lane_sum reads them: its distinct (yc, rc, bc)
+    triples as three (T, 1) count columns, and per entry k of census g the
+    index slots[k, g] of its triple and its mult[k, g], zero-padded."""
     import numpy as np
 
-    table = np.fromiter(chain.from_iterable(terms), float, 4 * len(terms)).reshape(-1, 4)
-    return table[:, :3], table[:, 3:]
+    index = {}
+    slots = np.zeros((max(len(s.density_terms) for s in specs), len(specs)), dtype=np.intp)
+    mult = np.zeros(slots.shape)
+    for g, spec in enumerate(specs):
+        for k, (yc, rc, bc, m) in enumerate(spec.density_terms):
+            slots[k, g], mult[k, g] = index.setdefault((yc, rc, bc), len(index)), m
+    return np.array(list(index), dtype=float).T[:, :, None], slots, mult
 
 
-def _lane_sum(columns, y, r, b):
-    """_term_sum(terms, *_logs(y, r, b), math.exp) at every lane of the 1-D
-    arrays y, r and b, with its bits.
-
-    Each numpy op is elementwise and is an op of the scalar loop, taken in
-    its order: the count * log products, the exponent summed in (y, r, b)
-    order, mult * exp, and a running sum over the terms in entry order
-    (np.sum or @ would change that order).  The logs and exps are math's,
-    mapped over the lanes, because np.log and np.exp differ from them in
-    the last bit at some points; an empty class gets _EMPTY_LOG.  This
-    (terms x lanes) form maps math.exp once per call; _term_sum on lanes
-    would map it once per term, which made curves 25% slower."""
+def _lane_sum(table, graphs, y, r, b):
+    """_term_sum(terms of census g, *_logs(y, r, b), math.exp) at each lane
+    (g, y, r, b) of four 1-D arrays, with its bits (module docstring): one
+    math.log per live class of each distinct (y, r, b) point, one math.exp
+    per (distinct point, table triple), then each lane's running sum of its
+    census's mult * exp terms in entry order (np.sum or @ would reorder)."""
     import numpy as np
 
-    counts, mult = columns
+    counts, slots, mult = table
     classes = np.stack((y, r, b))
-    live = classes > 0.0
-    logs = np.full(classes.shape, _EMPTY_LOG)
-    logs[live] = np.fromiter(map(math.log, classes[live].tolist()), float)
-    exponent = counts[:, :1] * logs[0] + counts[:, 1:2] * logs[1] + counts[:, 2:] * logs[2]
-    terms = mult * np.fromiter(map(math.exp, exponent.ravel().tolist()), float,
-                               exponent.size).reshape(exponent.shape)
-    total = np.zeros(len(y))
-    for row in terms:
-        total += row
+    order = np.lexsort(classes)
+    ordered = classes[:, order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    point = np.empty_like(order)
+    point[order] = np.cumsum(new) - 1
+    points = ordered[:, new]
+    live = points > 0.0
+    logs = np.full(points.shape, _EMPTY_LOG)
+    logs[live] = np.fromiter(map(math.log, points[live].tolist()), float)
+    exponent = counts[0] * logs[0] + counts[1] * logs[1] + counts[2] * logs[2]
+    exps = np.stack([np.fromiter(map(math.exp, row.tolist()), float, row.size)
+                     for row in exponent])
+    total = np.zeros(order.size)
+    for k_slots, k_mult in zip(slots, mult):
+        total += k_mult[graphs] * exps[k_slots[graphs], point]
     return total
 
 
-def _t_lanes(columns, betas, qs):
-    """t at each (beta, q) lane of two 1-D arrays, by _lane_sum."""
+def _t_lanes(table, graphs, betas, qs):
+    """t at each (graph, beta, q) lane of three 1-D arrays, by _lane_sum."""
     import numpy as np
 
-    return _lane_sum(columns, *_fractions(betas, qs, np.sqrt))
+    return _lane_sum(table, graphs, *_fractions(betas, qs, np.sqrt))
 
 
 def _golden_max(f, lo, hi, tol):
@@ -222,18 +240,18 @@ def _golden_max(f, lo, hi, tol):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _golden_lanes(columns, betas, lo, hi):
+def _golden_lanes(table, graphs, betas, lo, hi):
     """_golden_max(t(beta, .), lo, hi, REFINE_TOL) as a (q, t) pair for each
-    lane of the 1-D arrays betas, lo and hi, the lanes stepped in lockstep:
-    every lane takes _golden_max's float ops and stops at its own
-    b - a <= REFINE_TOL, and the new points of one step are evaluated in one
-    _t_lanes call."""
+    (graph, beta) lane of the 1-D arrays graphs, betas, lo and hi, the
+    lanes stepped in lockstep: every lane takes _golden_max's float ops and
+    stops at its own b - a <= REFINE_TOL, and the new points of one step
+    are evaluated in one _t_lanes call."""
     import numpy as np
 
     a, b = lo.copy(), hi.copy()
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = np.split(_t_lanes(columns, np.concatenate((betas, betas)),
+    fc, fd = np.split(_t_lanes(table, np.tile(graphs, 2), np.tile(betas, 2),
                                np.concatenate((c, d))), 2)
     live = np.flatnonzero(b - a > REFINE_TOL)
     while live.size:
@@ -243,7 +261,7 @@ def _golden_lanes(columns, betas, lo, hi):
         bl, al = np.where(left, dl, bl), np.where(left, al, cl)
         cl, dl = (np.where(left, bl - _INVPHI * (bl - al), dl),
                   np.where(left, cl, al + _INVPHI * (bl - al)))
-        f = _t_lanes(columns, betas[live], np.where(left, cl, dl))
+        f = _t_lanes(table, graphs[live], betas[live], np.where(left, cl, dl))
         fcl, fdl = np.where(left, f, fdl), np.where(left, fcl, f)
         a[live], b[live], c[live], d[live], fc[live], fd[live] = al, bl, cl, dl, fcl, fdl
         live = live[bl - al > REFINE_TOL]
@@ -262,11 +280,26 @@ def _q_grid():
     return qs
 
 
-def _profiles(spec, betas):
-    """One CurveSample per beta of a list: f_T = sup of t(beta, q) over q
-    in [0, 1], its smallest argmax q_star (within REL_TOL relative; a tie
-    when a q more than 1e-6 away also attains f_T), both endpoint hosts
-    and the winner.
+def _grid_scan(spec, betas, qs):
+    """t_density_grid's rows reduced to what _profiles keeps of them: each
+    row's top, its flat flag and its two grid ends, and the mask and the
+    values of its local maxima (none on a flat row)."""
+    import numpy as np
+
+    ts = t_density_grid(spec, betas, qs)
+    top = ts.max(axis=1)
+    flat = ts.min(axis=1) >= top * (1.0 - REL_TOL)
+    edge = np.full((len(betas), 1), -math.inf)
+    padded = np.concatenate((edge, ts, edge), axis=1)
+    peak = (ts >= padded[:, :-2]) & (ts >= padded[:, 2:]) & ~flat[:, None]
+    return top, flat, ts[:, [0, -1]], peak, ts[peak]
+
+
+def _profiles(specs, betas):
+    """One CurveSample per beta of a list, for each census of a list, as
+    one tuple per census: f_T = sup of t(beta, q) over q in [0, 1], its
+    smallest argmax q_star (within REL_TOL relative; a tie when a q more
+    than 1e-6 away also attains f_T), both endpoint hosts and the winner.
 
     A grid scan, then golden-section refinement of the local grid maxima
     (t(q) may be multimodal).  One with bracket [lo, hi] is skipped when
@@ -277,8 +310,9 @@ def _profiles(spec, betas):
     s^2 = 1 - beta + beta q^2 >= beta q^2), so no q in the bracket exceeds
     that sum, and f_T >= top, so the skipped value could neither raise f_T
     nor reach the final threshold f_T * (1 - REL_TOL).  Every surviving
-    maximum of every row is refined in one pass; f_T, the attaining set
-    and q_star do not depend on the order of the candidates.
+    maximum of every row of every census is refined in one pass; f_T, the
+    attaining set and q_star do not depend on the order of the candidates,
+    nor on the other censuses.
 
     Flat rule: when the whole grid lies within REL_TOL of its maximum
     (t = 1 at beta = 1 for every graph, t = beta for K2), every q attains
@@ -286,53 +320,54 @@ def _profiles(spec, betas):
     refinement would only have chased float noise, so on flat profiles f_T
     may differ from it by a few ulps; nothing printed changes.
 
-    The route is chosen once per call.  One beta (a curve_sample, as in the
-    boundary bisection) takes the scalar route, cheaper than numpy at a few
-    lanes: _term_sum bounds, _golden_max per maximum and t_density at the
-    ends.  A curve takes the lane route: one _lane_sum for the bounds, one
-    _golden_lanes search over every surviving maximum and one _t_lanes
-    call for both endpoint hosts, each lane with the scalar route's bits."""
+    The route is chosen once per call.  One beta takes the scalar route:
+    _term_sum bounds, _golden_max per maximum and t_density at the ends.
+    Curves take the lane route on one _census_table: one _lane_sum for the
+    bounds, one _golden_lanes search and one _t_lanes call for both ends
+    of every row, each lane with the scalar route's bits."""
     import numpy as np
 
-    qs = _q_grid()
-    ts = t_density_grid(spec, betas, qs)
-    top = ts.max(axis=1)
-    flat = ts.min(axis=1) >= top * (1.0 - REL_TOL)
-    edge = np.full((len(betas), 1), -math.inf)
-    padded = np.concatenate((edge, ts, edge), axis=1)
-    rows, peaks = np.nonzero((ts >= padded[:, :-2]) & (ts >= padded[:, 2:]) & ~flat[:, None])
-    lanes = np.asarray(betas, dtype=float)[rows]
+    qs, nb = _q_grid(), len(betas)
+    top, flat, grid_ends, peak, peak_t = map(
+        np.concatenate, zip(*(_grid_scan(spec, betas, qs) for spec in specs)))
+    # row i holds beta i % nb of census i // nb
+    row_graphs = np.repeat(np.arange(len(specs)), nb)
+    row_betas = np.tile(np.asarray(betas, dtype=float), len(specs))
+    rows, peaks = np.nonzero(peak)
+    graphs, lanes = row_graphs[rows], row_betas[rows]
     lo, hi = qs[np.maximum(peaks - 1, 0)], qs[np.minimum(peaks + 1, Q_GRID)]
     # each maximum's skip bound is the term sum at (y(hi), r(lo), b(lo))
     y = _fractions(lanes, hi, np.sqrt)[0]
     _, r, b = _fractions(lanes, lo, np.sqrt)
-    if len(betas) == 1:
-        bounds = [_term_sum(spec.density_terms, *_logs(*v), math.exp)
-                  for v in zip(y.tolist(), r.tolist(), b.tolist())]
-        ends = [(star_density(spec, betas[0]), clique_density(spec, betas[0]))]
+    if nb == 1:
+        beta = betas[0]
+        bounds = [_term_sum(specs[g].density_terms, *_logs(*v), math.exp)
+                  for g, *v in zip(graphs.tolist(), y.tolist(), r.tolist(), b.tolist())]
+        ends = [(star_density(spec, beta), clique_density(spec, beta)) for spec in specs]
 
         def refine(keep):
-            return [_golden_max(lambda q: t_density(spec, betas[0], q), *bracket, REFINE_TOL)
-                    for bracket in zip(lo[keep].tolist(), hi[keep].tolist())]
+            return [_golden_max(lambda q: t_density(specs[g], beta, q), *bracket, REFINE_TOL)
+                    for g, *bracket in zip(graphs[keep].tolist(), lo[keep].tolist(),
+                                           hi[keep].tolist())]
     else:
-        columns = _term_columns(spec.density_terms)
-        bounds = _lane_sum(columns, y, r, b)
-        both = np.tile(np.asarray(betas, dtype=float), 2)
-        t0, t1 = np.split(_t_lanes(columns, both, np.repeat([0.0, 1.0], len(betas))), 2)
+        table = _census_table(specs)
+        bounds = _lane_sum(table, graphs, y, r, b)
+        t0, t1 = np.split(_t_lanes(table, np.tile(row_graphs, 2), np.tile(row_betas, 2),
+                                   np.repeat([0.0, 1.0], row_betas.size)), 2)
         ends = zip(t0.tolist(), t1.tolist())
 
         def refine(keep):
-            return _golden_lanes(columns, lanes[keep], lo[keep], hi[keep])
+            return _golden_lanes(table, graphs[keep], lanes[keep], lo[keep], hi[keep])
     keep = np.flatnonzero(np.asarray(bounds) * (1.0 + 1e-9) >= top[rows] * (1.0 - REL_TOL))
-    grid_ends = ts[:, [0, -1]].tolist()
+    grid_ends = grid_ends.tolist()
     candidates = {i: [(0.0, grid_ends[i][0]), (1.0, grid_ends[i][1])]
                   for i in np.flatnonzero(~flat).tolist()}
-    for i, q, t in zip(rows.tolist(), qs[peaks].tolist(), ts[rows, peaks].tolist()):
+    for i, q, t in zip(rows.tolist(), qs[peaks].tolist(), peak_t.tolist()):
         candidates[i].append((q, t))
     for i, qt in zip(rows[keep].tolist(), refine(keep)):
         candidates[i].append(qt)
     out = []
-    for i, (beta, value, (t0, t1)) in enumerate(zip(betas, top.tolist(), ends)):
+    for i, (beta, value, (t0, t1)) in enumerate(zip(betas * len(specs), top.tolist(), ends)):
         q_star, tie = 0.0, True
         if i in candidates:
             value = max(t for _, t in candidates[i])
@@ -342,7 +377,7 @@ def _profiles(spec, betas):
             tie = any(q - q_star > 1e-6 for q in attaining)
         out.append(CurveSample(beta=beta, f_T=value, q_star=q_star, t_star=t0, t_clique=t1,
                                winner=attribute_winner(value, t0, t1), tie=tie))
-    return tuple(out)
+    return tuple(tuple(out[g * nb:(g + 1) * nb]) for g in range(len(specs)))
 
 
 def attribute_winner(f_T: float, t_star: float, t_clique: float) -> str:
@@ -359,16 +394,25 @@ def attribute_winner(f_T: float, t_star: float, t_clique: float) -> str:
 def curve_sample(spec, beta: float) -> CurveSample:
     """The optimised profile, both endpoint hosts and the winner at one
     beta."""
-    return _profiles(spec, [beta])[0]
+    return _profiles([spec], [beta])[0][0]
 
 
-def density_curve(spec, betas) -> tuple:
-    """One CurveSample per beta of a strictly increasing grid, all refined
-    together (_profiles)."""
+def density_curves(specs, betas):
+    """density_curve of each census of an iterable on one beta grid, as an
+    iterator: the censuses are read and refined GRAPH_CHUNK at a time, in
+    one _profiles call per chunk, each curve with its one-census bits."""
     betas = list(betas)
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta grid must be strictly increasing")
-    return _profiles(spec, betas)
+    specs = iter(specs)
+    chunks = iter(lambda: list(islice(specs, GRAPH_CHUNK)), [])
+    return chain.from_iterable(_profiles(chunk, betas) for chunk in chunks)
+
+
+def density_curve(spec, betas) -> tuple:
+    """One CurveSample per beta of a strictly increasing grid: the curves
+    of a chunk of one census."""
+    return next(density_curves([spec], betas))
 
 
 def side_changes(sides):

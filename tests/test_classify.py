@@ -239,8 +239,8 @@ def test_sweep_requires_whole_k_pattern(monkeypatch):
     # so any other pattern for it is an internal error
     real = classify._classify
 
-    def broken(g, spec, tol):
-        cls = real(g, spec, tol)
+    def broken(g, spec, tol, samples):
+        cls = real(g, spec, tol, samples)
         return dataclasses.replace(cls, pattern="SK") if g.n == 3 else cls
 
     monkeypatch.setattr(classify, "_classify", broken)

@@ -165,6 +165,13 @@ def test_classify_all_six_vertices(capsys):
     assert all((row[6] == "K") == (2 * Fraction(row[4]) == int(row[1])) for row in rows)
 
 
+def test_classify_all_six_vertices_matches_reference():
+    # the 143 lines of the 6-vertex sweep, byte for byte through the
+    # python -m entry point: a sweep past the benchmark's 5 vertices
+    ref = (ROOT / "tests" / "references" / "classify-all-max-v-6.out").read_text()
+    assert run_cli("classify-all", "--max-v", "6").stdout == ref
+
+
 def test_search_finds_g6():
     cp = run_cli("search", "--max-v", "6")
     data = json.loads(cp.stdout)
@@ -404,3 +411,23 @@ def test_exact_commands_never_load_numpy():
     assert cp.returncode == 0, cp.stderr
     assert json.loads(cp.stdout) == {"import": False, "oracle": False, "lp": False,
                                      "analyze": False, "profile": True}
+
+
+MA_PROBE = """
+import contextlib, io, json, sys
+import copymax.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["classify", "--builtin", "G6"]) == 0
+print(json.dumps({"numpy": "numpy" in sys.modules, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_classify_never_loads_numpy_ma():
+    # numpy.ma is a lazy import of np.unique that costs each process
+    # 10-15 ms; a fresh interpreter, as this test process may have loaded
+    # it.  numpy itself must load, so the probe cannot pass vacuously.
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    cp = subprocess.run([sys.executable, "-c", MA_PROBE], capture_output=True,
+                        text=True, env={**os.environ, "PYTHONPATH": path})
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout) == {"numpy": True, "numpy.ma": False}

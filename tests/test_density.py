@@ -21,17 +21,18 @@ from copymax.density import (
     crossover_bracket,
     curve_sample,
     density_curve,
+    density_curves,
     side_changes,
     star_density,
     t_density,
     t_density_grid,
     _fractions,
+    _census_table,
     _golden_lanes,
     _golden_max,
     _lane_sum,
     _logs,
     _t_lanes,
-    _term_columns,
     _term_sum,
 )
 from copymax.graphs import (
@@ -296,13 +297,13 @@ def test_lane_sum_has_the_scalar_bits(g, points):
               for beta, q in ((b0, q0), (0.0, q0), (1.0, q0), (b0, 0.0), (b0, 1.0))]
     spec = spectrum(g)
     terms = spec.density_terms
-    columns = _term_columns(terms)
+    table, census = _census_table([spec]), np.zeros(len(points), dtype=np.intp)
     fractions = [_fractions(beta, q) for beta, q in points]
-    lanes = _lane_sum(columns, *(np.array(v) for v in zip(*fractions)))
+    lanes = _lane_sum(table, census, *(np.array(v) for v in zip(*fractions)))
     scalar = [_term_sum(terms, *_logs(*f), math.exp) for f in fractions]
     assert _bits(lanes.tolist()) == _bits(scalar)
     betas, qs = (np.array(v) for v in zip(*points))
-    assert _bits(_t_lanes(columns, betas, qs).tolist()) == \
+    assert _bits(_t_lanes(table, census, betas, qs).tolist()) == \
         _bits([t_density(spec, beta, q) for beta, q in points])
 
 
@@ -319,7 +320,8 @@ def test_empty_class_rule_at_the_census_cap(name):
     assert scalar == [ref_t_density(spec, beta, q) for beta, q in points]
     for beta, row in zip(betas, t_density_grid(spec, betas, qs)):
         assert np.array_equal(row, ref_t_density_grid(spec, beta, qs))
-    lanes = _t_lanes(_term_columns(spec.density_terms), *(np.array(v) for v in zip(*points)))
+    lanes = _t_lanes(_census_table([spec]), np.zeros(len(points), dtype=np.intp),
+                     *(np.array(v) for v in zip(*points)))
     assert _bits(lanes.tolist()) == _bits(scalar)
 
 
@@ -333,10 +335,10 @@ def test_lockstep_golden_matches_scalar_lane_by_lane(g, lanes):
     qf = np.linspace(0.0, 1.0, Q_GRID + 1).tolist()
     brackets = [(qf[max(p - 1, 0)], qf[min(p + 1, Q_GRID)]) for _, p in lanes]
     betas = [beta for beta, _ in lanes]
-    columns = _term_columns(spec.density_terms)
+    table = _census_table([spec])
     for n in (1, len(lanes)):
         lo, hi = np.array(brackets[:n]).T
-        refined = _golden_lanes(columns, np.array(betas[:n]), lo, hi)
+        refined = _golden_lanes(table, np.zeros(n, dtype=np.intp), np.array(betas[:n]), lo, hi)
         scalar = [_golden_max(lambda q: t_density(spec, beta, q), *bracket, density.REFINE_TOL)
                   for beta, bracket in zip(betas[:n], brackets[:n])]
         assert [_bits(qt) for qt in refined] == [_bits(qt) for qt in scalar]
@@ -369,6 +371,50 @@ def test_curve_rows_match_one_beta_samples(g):
 def test_random_curve_rows_match_one_beta_samples(g, inner):
     # beta = 0 and beta = 1 are flat rows for every graph
     _assert_rows_match_samples(spectrum(g), sorted({0.0, 1.0, *inner}))
+
+
+@given(st.lists(connected_graphs(max_v=7), min_size=1, max_size=6),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4))
+@settings(max_examples=15, deadline=None)
+def test_chunked_curves_match_one_graph_routes(drawn, inner):
+    # graphs of mixed sizes refined as one chunk, with K2 (all rows flat)
+    # and family (3, 4) (rows with several maxima): every curve has the
+    # bits of its own density_curve and of its one-beta samples
+    specs = [spectrum(g) for g in (*drawn, complete_graph(2), clique_with_pendant_star(3, 4))]
+    assert len(specs) <= density.GRAPH_CHUNK
+    betas = sorted({0.0, 1.0, *inner, *classify.default_beta_grid()[::16]})
+    chunked = list(density_curves(specs, betas))
+    assert len(chunked) == len(specs)
+    for spec, curve in zip(specs, chunked):
+        one = density_curve(spec, betas)
+        samples = [curve_sample(spec, beta) for beta in betas]
+        assert [_bits(dataclasses.astuple(s)) for s in curve] == \
+            [_bits(dataclasses.astuple(s)) for s in one] == \
+            [_bits(dataclasses.astuple(s)) for s in samples]
+
+
+def test_sweep_lane_sums_share_their_exps(monkeypatch):
+    # a lane sum maps math.exp once per (distinct (y, r, b) point, count
+    # triple of its chunk's table), not once per (lane, census entry)
+    exps, shared, entries = [0], [0], [0]
+    real_exp, real_sum = math.exp, density._lane_sum
+
+    def counting_exp(x):
+        exps[0] += 1
+        return real_exp(x)
+
+    def counting_sum(table, graphs, *classes):
+        before = exps[0]
+        out = real_sum(table, graphs, *classes)
+        shared[0] += exps[0] - before
+        entries[0] += int(np.count_nonzero(table[2][:, graphs]))
+        return out
+
+    monkeypatch.setattr(math, "exp", counting_exp)
+    monkeypatch.setattr(density, "_lane_sum", counting_sum)
+    rows = list(classify.sweep_connected_graphs(4))
+    assert len(rows) == 9
+    assert (shared[0], entries[0]) == (277258, 365500)
 
 
 def test_route_follows_the_beta_count(monkeypatch):
@@ -428,9 +474,9 @@ def test_sweep_refinement_count(monkeypatch):
         calls.append(args)
         return scalar(*args)
 
-    def counting_lanes(columns, betas, qs):
+    def counting_lanes(table, graphs, betas, qs):
         lanes.extend(zip(betas.tolist(), qs.tolist()))
-        return lane(columns, betas, qs)
+        return lane(table, graphs, betas, qs)
 
     def counting_sample(spec, beta):
         before = len(calls)
