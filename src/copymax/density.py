@@ -17,42 +17,41 @@ y, r and b): the naive expressions lose ~5 decimal digits to cancellation
 at small beta, which is fatal for the 1e-12-relative endpoint comparisons
 below.
 
-One loop, _term_sum, adds the terms mult * exp(y_phi log y + r_phi log r
-+ b_phi log b) in entry order, with math.exp for one (beta, q) and np.exp
-for the grid.  A class is empty at Nagy's hosts (y = 0 at q = 0, r = 0 at
-q = 1) and at beta = 1 (b = 0), and a term that counts an empty class is
-0.  The one encoding of that rule is the log _EMPTY_LOG = -1e300 given to
-an empty class, and it drops exactly those terms, bit for bit.  A count 0
-times it is -0.0, which added to an exponent leaves its bits (and exp(0)
-is 1 either way).  Counts c >= 1 on empty classes (c <= v <= 62, graph6's
-limit) make the exponent c * -1e300 plus at most 62 * 745 in size from
-the live logs, so it lies in about [-6.2e301, -1e300]: no overflow, and
-its exp is exactly 0.0 in math and in numpy (whose underflow is ignored
-by default), so the term adds +0.0 to a sum that is never negative.
+Every evaluator adds the terms mult * exp(y_phi log y + r_phi log r + b_phi
+log b) in entry order.  A class is empty at Nagy's hosts (y = 0 at q = 0,
+r = 0 at q = 1) and at beta = 1 (b = 0), and a term that counts an empty
+class is 0.  The one encoding of that rule is the log _EMPTY_LOG = -1e300
+given to an empty class, and it drops exactly those terms, bit for bit.  A
+count 0 times it is -0.0, which added to an exponent leaves its bits (and
+exp(0) is 1 either way).  Counts c >= 1 on empty classes (c <= v <= 62,
+graph6's limit) make the exponent c * -1e300 plus at most 62 * 745 in size
+from the live logs, so it lies in about [-6.2e301, -1e300]: no overflow,
+and its exp is exactly 0.0 in math and in numpy (whose underflow is
+ignored by default), so the term adds +0.0 to a sum that is never negative.
 
-The grid evaluator takes an array of betas as well as an array of q, so a
-density curve scans its betas in one pass per BETA_CHUNK rows, each row
-with the bits of a one-beta scan.
+_term_sum adds the terms at one point with math.exp.  Every numpy
+evaluation reads one layout, a chunk's _census_table: t_density_grid over
+a beta array x q array, BETA_CHUNK betas a pass, with np.exp, and
+_lane_sum over (census, y, r, b) lanes with math.exp.  Each value has the
+bits of the one-census loop at its point with the same exp, as it does the
+same IEEE ops on the same operands: the log of each fraction, the exponent
+yc ly + rc lr + bc lb in that order (counts <= 62 are exact as floats),
+its exp, and mult * exp added to a running total in the census's entry
+order.  Points that share their logs, and censuses that share a count
+triple, share its exp, which changes no operand.  An entry that pads a
+census to the table's width has mult 0.0, and every log is <= 0 (no
+fraction exceeds 1), so its exp is finite and the term is +0.0, which
+leaves the bits of a total that is never negative.  So every grid row and
+every curve sample has the bits of a one-census, one-beta call.
 
 The supremum over q is a grid scan plus golden-section refinement of the
 local grid maxima, skipping those that provably cannot reach their row's
 grid maximum (_profiles gives the rule and its proof).  The curves of up
-to GRAPH_CHUNK censuses refine every surviving maximum of all their rows
-in one lockstep golden-section search, whose lanes each take the scalar
-search's float steps and are evaluated in one _lane_sum call per step.  A
-one-beta sample, as in the boundary bisection, takes the scalar route
-throughout, which is cheaper than numpy there.
-
-A lane (g, y, r, b) of _lane_sum has the bits of _term_sum(terms of census
-g, *_logs(y, r, b), math.exp), as it does the same IEEE ops on the same
-operands: math.log of the same fractions, each exponent yc ly + rc lr +
-bc lb in that order (counts <= 62 are exact as floats), its math.exp, and
-mult * exp added to a running total in the census's entry order.  Lanes
-with equal (y, r, b) share their logs, and share an exp per count triple,
-which changes no operand.  An entry that pads a census to the table's
-width has mult 0.0, and every log is <= 0 (no fraction exceeds 1), so its
-exp is finite and the term is +0.0, which leaves the bits of a total that
-is never negative.  So every curve sample has the bits of a one-beta call.
+to GRAPH_CHUNK censuses share one grid call and refine every surviving
+maximum of all their rows in one lockstep golden-section search, whose
+lanes each take the scalar search's float steps and are evaluated in one
+_lane_sum call per step.  A one-beta sample, as in the boundary bisection,
+refines on the scalar route, which is cheaper than numpy there.
 
 Every beta boundary (the S/T/K winner changes and the crossover of two q
 values) is found by one search: side_changes scans a grid for the first
@@ -66,9 +65,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, pairwise
 
+from .graphs import Graph
+from .weightings import spectrum
+
 REL_TOL = 1e-12        # relative tolerance for "attains the supremum"
 Q_GRID = 128           # q grid intervals scanned before refinement
-BETA_CHUNK = 32        # betas per grid pass, bounding its temporaries
+BETA_CHUNK = 8         # betas per grid pass, bounding its temporaries
 GRAPH_CHUNK = 8        # censuses refined together, bounding their lanes
 REFINE_TOL = 1e-10     # golden-section bracket width on q
 BETA_TOL = 1e-6        # default bisection bracket width on beta
@@ -114,20 +116,19 @@ def _logs(y, r, b):
             math.log(b) if b > 0.0 else _EMPTY_LOG)
 
 
-def _term_sum(terms, ly, lr, lb, exp):
+def _term_sum(terms, ly, lr, lb):
     """sum of mult * exp(yc ly + rc lr + bc lb) over the (yc, rc, bc, mult)
-    terms, added in entry order: the census sum in log space, on Python
-    floats with exp=math.exp or elementwise on arrays with exp=np.exp."""
+    terms, added in entry order: the census sum in log space at one point."""
     total = 0.0
     for yc, rc, bc, mult in terms:
-        total += mult * exp(yc * ly + rc * lr + bc * lb)
+        total += mult * math.exp(yc * ly + rc * lr + bc * lb)
     return total
 
 
 def t_density(spec, beta: float, q: float) -> float:
     """Census sum for one (beta, q)."""
     _check_range(beta, q)
-    return _term_sum(spec.density_terms, *_logs(*_fractions(beta, q)), math.exp)
+    return _term_sum(spec.density_terms, *_logs(*_fractions(beta, q)))
 
 
 def _check_grid(name, values):
@@ -135,29 +136,6 @@ def _check_grid(name, values):
     outside = values[~((values >= 0.0) & (values <= 1.0))]
     if outside.size:
         raise ValueError(f"{name} must lie in [0, 1], got {outside[0]}")
-
-
-def t_density_grid(spec, beta, qs):
-    """t(beta, q) over one beta or a 1-D array of betas and a 1-D array of
-    q values, as an array of shape beta.shape + qs.shape.
-
-    Betas are taken BETA_CHUNK rows at a time, each chunk summed by one
-    _term_sum call on its np.log columns (an empty class at _EMPTY_LOG).
-    No element depends on another, so each row of a batched call has the
-    bits of a one-beta call."""
-    import numpy as np
-
-    betas = np.asarray(beta, dtype=float)
-    qs = np.asarray(qs, dtype=float)
-    _check_grid("beta", betas)
-    _check_grid("q", qs)
-    out = np.zeros((betas.size, qs.size))
-    for lo in range(0, betas.size, BETA_CHUNK):
-        rows = betas.reshape(-1, 1)[lo:lo + BETA_CHUNK]
-        with np.errstate(divide="ignore"):
-            logs = [np.maximum(np.log(v), _EMPTY_LOG) for v in _fractions(rows, qs, np.sqrt)]
-        out[lo:lo + BETA_CHUNK] = _term_sum(spec.density_terms, *logs, np.exp)
-    return out.reshape(betas.shape + qs.shape)
 
 
 def clique_density(spec, beta: float) -> float:
@@ -173,9 +151,10 @@ def star_density(spec, beta: float) -> float:
 
 
 def _census_table(specs):
-    """A chunk's censuses as _lane_sum reads them: its distinct (yc, rc, bc)
-    triples as three (T, 1) count columns, and per entry k of census g the
-    index slots[k, g] of its triple and its mult[k, g], zero-padded."""
+    """A chunk's censuses as t_density_grid and _lane_sum read them: its
+    distinct (yc, rc, bc) triples as three (T, 1) count columns, and per
+    entry k of census g the index slots[k, g] of its triple and its
+    mult[k, g], zero-padded."""
     import numpy as np
 
     index = {}
@@ -187,8 +166,40 @@ def _census_table(specs):
     return np.array(list(index), dtype=float).T[:, :, None], slots, mult
 
 
+def t_density_grid(specs, betas, qs):
+    """t(beta, q) of each census of a list over a 1-D array of betas and a
+    1-D array of q values, as an array of shape (censuses, betas, q).
+
+    Betas are taken BETA_CHUNK rows at a time.  Each block takes one np.log
+    per class of each (beta, q) point (an empty class at _EMPTY_LOG), one
+    exponent and one np.exp per triple of the censuses' _census_table, and
+    adds each census's mult * exp terms in its entry order, so every row
+    has the bits of a one-census, one-beta call (module docstring)."""
+    import numpy as np
+
+    betas = np.asarray(betas, dtype=float).reshape(-1, 1)
+    qs = np.asarray(qs, dtype=float)
+    _check_grid("beta", betas)
+    _check_grid("q", qs)
+    counts, slots, mult = _census_table(specs)
+    counts, mult = counts[..., None], mult[..., None, None]
+    out = np.zeros((len(specs), betas.size, qs.size))
+    for lo in range(0, betas.size, BETA_CHUNK):
+        with np.errstate(divide="ignore"):
+            ly, lr, lb = (np.maximum(np.log(v), _EMPTY_LOG)
+                          for v in _fractions(betas[lo:lo + BETA_CHUNK], qs, np.sqrt))
+        exps = counts[0] * ly
+        exps += counts[1] * lr
+        exps += counts[2] * lb
+        np.exp(exps, out=exps)
+        block = out[:, lo:lo + BETA_CHUNK]
+        for k_slots, k_mult in zip(slots, mult):
+            block += k_mult * exps[k_slots]
+    return out
+
+
 def _lane_sum(table, graphs, y, r, b):
-    """_term_sum(terms of census g, *_logs(y, r, b), math.exp) at each lane
+    """_term_sum(terms of census g, *_logs(y, r, b)) at each lane
     (g, y, r, b) of four 1-D arrays, with its bits (module docstring): one
     math.log per live class of each distinct (y, r, b) point, one math.exp
     per (distinct point, table triple), then each lane's running sum of its
@@ -280,21 +291,6 @@ def _q_grid():
     return qs
 
 
-def _grid_scan(spec, betas, qs):
-    """t_density_grid's rows reduced to what _profiles keeps of them: each
-    row's top, its flat flag and its two grid ends, and the mask and the
-    values of its local maxima (none on a flat row)."""
-    import numpy as np
-
-    ts = t_density_grid(spec, betas, qs)
-    top = ts.max(axis=1)
-    flat = ts.min(axis=1) >= top * (1.0 - REL_TOL)
-    edge = np.full((len(betas), 1), -math.inf)
-    padded = np.concatenate((edge, ts, edge), axis=1)
-    peak = (ts >= padded[:, :-2]) & (ts >= padded[:, 2:]) & ~flat[:, None]
-    return top, flat, ts[:, [0, -1]], peak, ts[peak]
-
-
 def _profiles(specs, betas):
     """One CurveSample per beta of a list, for each census of a list, as
     one tuple per census: f_T = sup of t(beta, q) over q in [0, 1], its
@@ -320,17 +316,23 @@ def _profiles(specs, betas):
     refinement would only have chased float noise, so on flat profiles f_T
     may differ from it by a few ulps; nothing printed changes.
 
-    The route is chosen once per call.  One beta takes the scalar route:
-    _term_sum bounds, _golden_max per maximum and t_density at the ends.
-    Curves take the lane route on one _census_table: one _lane_sum for the
-    bounds, one _golden_lanes search and one _t_lanes call for both ends
-    of every row, each lane with the scalar route's bits."""
+    One t_density_grid call scans every row; the route of the rest is
+    chosen once per call.  One beta takes the scalar route: _term_sum
+    bounds, _golden_max per maximum and t_density at the ends.  Curves take
+    the lane route on one _census_table: one _lane_sum for the bounds, one
+    _golden_lanes search and one _t_lanes call for both ends of every row,
+    each lane with the scalar route's bits."""
     import numpy as np
 
     qs, nb = _q_grid(), len(betas)
-    top, flat, grid_ends, peak, peak_t = map(
-        np.concatenate, zip(*(_grid_scan(spec, betas, qs) for spec in specs)))
     # row i holds beta i % nb of census i // nb
+    ts = t_density_grid(specs, betas, qs).reshape(-1, qs.size)
+    top = ts.max(axis=1)
+    flat = ts.min(axis=1) >= top * (1.0 - REL_TOL)
+    # a local maximum of a row that is not flat: at least each neighbour
+    peak = np.repeat(~flat[:, None], qs.size, axis=1)
+    peak[:, 1:] &= ts[:, 1:] >= ts[:, :-1]
+    peak[:, :-1] &= ts[:, :-1] >= ts[:, 1:]
     row_graphs = np.repeat(np.arange(len(specs)), nb)
     row_betas = np.tile(np.asarray(betas, dtype=float), len(specs))
     rows, peaks = np.nonzero(peak)
@@ -341,7 +343,7 @@ def _profiles(specs, betas):
     _, r, b = _fractions(lanes, lo, np.sqrt)
     if nb == 1:
         beta = betas[0]
-        bounds = [_term_sum(specs[g].density_terms, *_logs(*v), math.exp)
+        bounds = [_term_sum(specs[g].density_terms, *_logs(*v))
                   for g, *v in zip(graphs.tolist(), y.tolist(), r.tolist(), b.tolist())]
         ends = [(star_density(spec, beta), clique_density(spec, beta)) for spec in specs]
 
@@ -359,10 +361,10 @@ def _profiles(specs, betas):
         def refine(keep):
             return _golden_lanes(table, graphs[keep], lanes[keep], lo[keep], hi[keep])
     keep = np.flatnonzero(np.asarray(bounds) * (1.0 + 1e-9) >= top[rows] * (1.0 - REL_TOL))
-    grid_ends = grid_ends.tolist()
+    grid_ends = ts[:, [0, -1]].tolist()
     candidates = {i: [(0.0, grid_ends[i][0]), (1.0, grid_ends[i][1])]
                   for i in np.flatnonzero(~flat).tolist()}
-    for i, q, t in zip(rows.tolist(), qs[peaks].tolist(), peak_t.tolist()):
+    for i, q, t in zip(rows.tolist(), qs[peaks].tolist(), ts[peak].tolist()):
         candidates[i].append((q, t))
     for i, qt in zip(rows[keep].tolist(), refine(keep)):
         candidates[i].append(qt)
@@ -440,9 +442,15 @@ def bisect_side(side, lo, hi, left, tol):
 def _crossover_side(spec, q1, q2):
     """beta -> the sign (-1, 0 or 1) of t(beta, q1) - t(beta, q2), whose
     change is the crossover.  Equal q values make the gap 0 at every beta,
-    so there is no crossover to find."""
+    and so does a perfect matching: a single edge has t = beta at every q
+    (the host's edge density y^2 + r^2 + 2r(y + b) is beta) and t
+    multiplies over components.  Neither has a crossover to find."""
     if q1 == q2:
         raise ValueError(f"q1 and q2 must differ, both are {q1}")
+    v = spec.v
+    if v % 2 == 0 and spec == spectrum(Graph(v, [(i, i + 1) for i in range(0, v, 2)])):
+        raise ValueError(f"a perfect matching has t = beta^{v // 2} at every q, "
+                         "so there is no crossover to find")
 
     def side(beta):
         gap = t_density(spec, beta, q1) - t_density(spec, beta, q2)

@@ -254,13 +254,23 @@ def test_max_v_below_two_is_refused(argv):
     assert cp.stdout == ""
 
 
-@pytest.mark.parametrize("bracket", [(), ("--bracket", "0:1"), ("--bracket", "0:0.5"),
-                                     ("--bracket", "0.5:1")],
-                         ids=["scan", "0:1", "0:0.5", "0.5:1"])
-def test_crossover_refuses_trivial_ties(bracket):
+G6_Q1_Q0 = ("--builtin", "G6", "--q1", "1", "--q2", "0")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(G6_Q1_Q0, id="scan"),
+    pytest.param((*G6_Q1_Q0, "--bracket", "0:1"), id="0:1"),
+    pytest.param((*G6_Q1_Q0, "--bracket", "0:0.5"), id="0:0.5"),
+    pytest.param((*G6_Q1_Q0, "--bracket", "0.5:1"), id="0.5:1"),
+    pytest.param(("--builtin", "P1", "--q1", "1", "--q2", "0.5"), id="P1"),
+    pytest.param(("--graph", "1-2,3-4", "--q1", "1", "--q2", "0.5"), id="two-edges"),
+])
+def test_crossover_refuses_trivial_ties(argv):
     # every host has density 0 at beta = 0 and 1 at beta = 1; G6 has no
-    # crossover of q = 1 and q = 0 in between
-    run_cli("crossover", "--builtin", "G6", "--q1", "1", "--q2", "0", *bracket, expect=2)
+    # crossover of q = 1 and q = 0 in between; a perfect matching has
+    # t = beta^(v/2) at every q, so its gap is rounding noise (P1 and
+    # 1-2,3-4 used to print beta = 1.05e-06)
+    run_cli("crossover", *argv, expect=2)
 
 
 def test_crossover_star5_is_its_gamma():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from copymax import classify, density
 from copymax.cli import main
 from copymax.density import (
-    BETA_CHUNK,
     Q_GRID,
     REL_TOL,
     attribute_winner,
@@ -102,7 +101,7 @@ def test_evaluators_refuse_the_same_inputs(g6_spec):
             t_density(g6_spec, beta, q)
         for betas, qs in ((beta, [q]), ([0.2, beta], [0.3, q])):
             with pytest.raises(ValueError) as grid:
-                t_density_grid(g6_spec, betas, qs)
+                t_density_grid([g6_spec], betas, qs)
             assert str(grid.value) == str(scalar.value)
 
 
@@ -160,7 +159,7 @@ def test_density_zero_at_beta_zero(g6_spec):
 
 def test_density_grid_matches_scalar(g6_spec):
     qs = np.linspace(0.0, 1.0, 65)
-    grid = t_density_grid(g6_spec, 0.037, qs)
+    grid = t_density_grid([g6_spec], [0.037], qs)[0, 0]
     for q, t in zip(qs, grid):
         assert t == pytest.approx(t_density(g6_spec, 0.037, float(q)), rel=1e-12)
 
@@ -192,7 +191,7 @@ def test_evaluators_match_reference(g, beta, qs):
     for q in qs:
         assert t_density(spec, beta, q) == ref_t_density(spec, beta, q)
     for grid in (qs, np.linspace(0.0, 1.0, Q_GRID + 1)):
-        assert np.array_equal(t_density_grid(spec, beta, grid),
+        assert np.array_equal(t_density_grid([spec], [beta], grid)[0, 0],
                               ref_t_density_grid(spec, beta, grid))
     s, (value, q_star, tie) = curve_sample(spec, beta), ref_best_t_density(spec, beta)
     if _flat(spec, beta):
@@ -206,17 +205,20 @@ small_betas = st.one_of(st.sampled_from([0.0, 1.0, 5e-324]),
                         st.floats(min_value=0.0, max_value=1.0))
 
 
-@given(connected_graphs(max_v=7),
-       st.lists(small_betas, min_size=1, max_size=3 * BETA_CHUNK + 5),
+@given(st.lists(connected_graphs(max_v=7), min_size=1, max_size=density.GRAPH_CHUNK),
+       st.lists(small_betas, min_size=1, max_size=101),
        st.lists(unit, min_size=1, max_size=9))
 @settings(max_examples=60, deadline=None)
-def test_batched_grid_rows_match_reference(g, betas, qs):
-    spec = spectrum(g)
+def test_batched_grid_rows_match_reference(graphs, betas, qs):
+    # one chunk of graphs of mixed sizes, its betas over several BETA_CHUNK
+    # passes: every (census, beta) row has the reference's bits
+    specs = [spectrum(g) for g in graphs]
     for grid in (qs, np.linspace(0.0, 1.0, Q_GRID + 1)):
-        rows = t_density_grid(spec, betas, grid)
-        assert rows.shape == (len(betas), len(grid))
-        for beta, row in zip(betas, rows):
-            assert np.array_equal(row, ref_t_density_grid(spec, beta, grid))
+        rows = t_density_grid(specs, betas, grid)
+        assert rows.shape == (len(specs), len(betas), len(grid))
+        for spec, census_rows in zip(specs, rows):
+            for beta, row in zip(betas, census_rows):
+                assert np.array_equal(row, ref_t_density_grid(spec, beta, grid))
 
 
 def test_density_grid_bits_on_short_arrays():
@@ -229,7 +231,7 @@ def test_density_grid_bits_on_short_arrays():
         for size in range(1, 10):
             for _ in range(10):
                 beta, qs = float(rng.uniform()), rng.uniform(size=size)
-                assert np.array_equal(t_density_grid(spec, beta, qs),
+                assert np.array_equal(t_density_grid([spec], [beta], qs)[0, 0],
                                       ref_t_density_grid(spec, beta, qs))
 
 
@@ -300,26 +302,33 @@ def test_lane_sum_has_the_scalar_bits(g, points):
     table, census = _census_table([spec]), np.zeros(len(points), dtype=np.intp)
     fractions = [_fractions(beta, q) for beta, q in points]
     lanes = _lane_sum(table, census, *(np.array(v) for v in zip(*fractions)))
-    scalar = [_term_sum(terms, *_logs(*f), math.exp) for f in fractions]
+    scalar = [_term_sum(terms, *_logs(*f)) for f in fractions]
     assert _bits(lanes.tolist()) == _bits(scalar)
     betas, qs = (np.array(v) for v in zip(*points))
     assert _bits(_t_lanes(table, census, betas, qs).tolist()) == \
         _bits([t_density(spec, beta, q) for beta, q in points])
 
 
-@pytest.mark.parametrize("name", ["C16", "star15", "K16"])
+CENSUS_CAP_GRAPHS = ("C16", "star15", "K16")
+
+
+@pytest.mark.parametrize("name", CENSUS_CAP_GRAPHS)
 def test_empty_class_rule_at_the_census_cap(name):
     # the largest counts the census allows (16 vertices) on every empty
     # class: y = 0 at q = 0 or beta = 0, r = 0 at q = 1 or beta <= 5e-324,
-    # b = 0 at beta = 1, and two classes empty at once at (0, q) and (1, 0)
+    # b = 0 at beta = 1, and two classes empty at once at (0, q) and (1, 0);
+    # the grid alone and in one chunk with the other two
     spec = spectrum(builtin_graph(name))
     assert spec.v == 16
     betas, qs = [0.0, 5e-324, 0.3, 1.0], [0.0, 0.5, 1.0]
     points = [(beta, q) for beta in betas for q in qs]
     scalar = [t_density(spec, beta, q) for beta, q in points]
     assert scalar == [ref_t_density(spec, beta, q) for beta, q in points]
-    for beta, row in zip(betas, t_density_grid(spec, betas, qs)):
-        assert np.array_equal(row, ref_t_density_grid(spec, beta, qs))
+    chunk = [spectrum(builtin_graph(n)) for n in CENSUS_CAP_GRAPHS]
+    for rows in (t_density_grid([spec], betas, qs)[0],
+                 t_density_grid(chunk, betas, qs)[CENSUS_CAP_GRAPHS.index(name)]):
+        for beta, row in zip(betas, rows):
+            assert np.array_equal(row, ref_t_density_grid(spec, beta, qs))
     lanes = _t_lanes(_census_table([spec]), np.zeros(len(points), dtype=np.intp),
                      *(np.array(v) for v in zip(*points)))
     assert _bits(lanes.tolist()) == _bits(scalar)
@@ -423,7 +432,8 @@ def test_route_follows_the_beta_count(monkeypatch):
     # _golden_lanes), also when a single maximum is left to refine in a
     # curve (the default grid for G6 has rows with one surviving maximum)
     calls = Counter()
-    for name in ("_golden_max", "t_density", "_golden_lanes", "_lane_sum", "_t_lanes"):
+    for name in ("_golden_max", "t_density", "_golden_lanes", "_lane_sum", "_t_lanes",
+                 "t_density_grid"):
         def counting(*args, _name=name, _f=getattr(density, name)):
             calls[_name] += 1
             return _f(*args)
@@ -432,11 +442,19 @@ def test_route_follows_the_beta_count(monkeypatch):
     curve_sample(g6, 0.3)
     assert calls["_golden_max"] and calls["t_density"]
     assert calls["_golden_lanes"] == calls["_lane_sum"] == calls["_t_lanes"] == 0
+    assert calls["t_density_grid"] == 1
     for betas in ([0.01, 0.3], classify.default_beta_grid()):
         calls.clear()
         density_curve(g6, betas)
         assert calls["_golden_lanes"] == 1 and calls["_lane_sum"] and calls["_t_lanes"]
         assert calls["_golden_max"] == calls["t_density"] == 0
+        assert calls["t_density_grid"] == 1
+    # one grid call per chunk of censuses: 9 graphs are chunks of 8 and 1
+    specs = [spectrum(g) for g in enumerate_connected_graphs(4)]
+    assert len(specs) == 9 and density.GRAPH_CHUNK == 8
+    calls.clear()
+    assert len(list(density_curves(specs, [0.01, 0.3]))) == 9
+    assert calls["t_density_grid"] == 2
 
 
 def test_pruned_profiles_match_reference():
