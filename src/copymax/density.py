@@ -30,9 +30,9 @@ and its exp is exactly 0.0 in math and in numpy (whose underflow is
 ignored by default), so the term adds +0.0 to a sum that is never negative.
 
 _term_sum adds the terms at one point with math.exp.  Every numpy
-evaluation reads one layout, a chunk's _census_table: t_density_grid over
-a beta array x q array, BETA_CHUNK betas a pass, with np.exp, and
-_lane_sum over (census, y, r, b) lanes with math.exp.  Each value has the
+evaluation reads one layout, a chunk's _census_table: _grid_blocks over a
+beta column x a q array, BETA_CHUNK betas a pass, with np.exp, and _lane_sum
+over (census, y, r, b) lanes with math.exp.  Each value has the
 bits of the one-census loop at its point with the same exp, as it does the
 same IEEE ops on the same operands: the log of each fraction, the exponent
 yc ly + rc lr + bc lb in that order (counts <= 62 are exact as floats),
@@ -47,8 +47,9 @@ every curve sample has the bits of a one-census, one-beta call.
 The supremum over q is a grid scan plus golden-section refinement of the
 local grid maxima, skipping those that provably cannot reach their row's
 grid maximum (_profiles gives the rule and its proof).  The curves of up
-to GRAPH_CHUNK censuses share one grid call and refine every surviving
-maximum of all their rows in one lockstep golden-section search, whose
+to GRAPH_CHUNK censuses share one _census_table, scan their grid one
+_grid_blocks pass at a time, and refine every surviving maximum of all
+their rows in one lockstep golden-section search, whose
 lanes each take the scalar search's float steps and are evaluated in one
 _lane_sum call per step.  A one-beta sample, as in the boundary bisection,
 refines on the scalar route, which is cheaper than numpy there.
@@ -166,35 +167,52 @@ def _census_table(specs):
     return np.array(list(index), dtype=float).T[:, :, None], slots, mult
 
 
+def _grid_blocks(table, betas, qs):
+    """t over a (betas, 1) column and a 1-D q array for each census of a
+    _census_table, BETA_CHUNK betas a pass: yields each pass's first beta
+    index and its array of shape (censuses, betas of the pass, q).  A pass
+    takes one np.log per class of each (beta, q) point (an empty class at
+    _EMPTY_LOG), one exponent and one np.exp per table triple, and adds
+    each census's mult * exp terms in its entry order, so every row has the
+    bits of a one-census, one-beta call (module docstring).  The passes
+    share one exponent buffer and one product buffer, so no pass allocates
+    an array of the table's size: fresh ones each pass make the allocator
+    map and fault their pages again (22-triple grids run about 30 % slower)."""
+    import numpy as np
+
+    counts, slots, mult = table
+    counts, mult = counts[..., None], mult[..., None, None]
+    exps = np.empty((counts.shape[1], min(BETA_CHUNK, betas.size), qs.size))
+    product = np.empty_like(exps)
+    for lo in range(0, betas.size, BETA_CHUNK):
+        with np.errstate(divide="ignore"):
+            ly, lr, lb = (np.maximum(np.log(v), _EMPTY_LOG)
+                          for v in _fractions(betas[lo:lo + BETA_CHUNK], qs, np.sqrt))
+        rows = slice(0, ly.shape[0])
+        pass_exps, pass_product = exps[:, rows], product[:, rows]
+        np.multiply(counts[0], ly, out=pass_exps)
+        pass_exps += np.multiply(counts[1], lr, out=pass_product)
+        pass_exps += np.multiply(counts[2], lb, out=pass_product)
+        np.exp(pass_exps, out=pass_exps)
+        block = np.zeros((slots.shape[1], *ly.shape))
+        for k_slots, k_mult in zip(slots, mult):
+            block += k_mult * pass_exps[k_slots]
+        yield lo, block
+
+
 def t_density_grid(specs, betas, qs):
     """t(beta, q) of each census of a list over a 1-D array of betas and a
-    1-D array of q values, as an array of shape (censuses, betas, q).
-
-    Betas are taken BETA_CHUNK rows at a time.  Each block takes one np.log
-    per class of each (beta, q) point (an empty class at _EMPTY_LOG), one
-    exponent and one np.exp per triple of the censuses' _census_table, and
-    adds each census's mult * exp terms in its entry order, so every row
-    has the bits of a one-census, one-beta call (module docstring)."""
+    1-D array of q values, as an array of shape (censuses, betas, q),
+    filled from the _grid_blocks passes on the list's _census_table."""
     import numpy as np
 
     betas = np.asarray(betas, dtype=float).reshape(-1, 1)
     qs = np.asarray(qs, dtype=float)
     _check_grid("beta", betas)
     _check_grid("q", qs)
-    counts, slots, mult = _census_table(specs)
-    counts, mult = counts[..., None], mult[..., None, None]
-    out = np.zeros((len(specs), betas.size, qs.size))
-    for lo in range(0, betas.size, BETA_CHUNK):
-        with np.errstate(divide="ignore"):
-            ly, lr, lb = (np.maximum(np.log(v), _EMPTY_LOG)
-                          for v in _fractions(betas[lo:lo + BETA_CHUNK], qs, np.sqrt))
-        exps = counts[0] * ly
-        exps += counts[1] * lr
-        exps += counts[2] * lb
-        np.exp(exps, out=exps)
-        block = out[:, lo:lo + BETA_CHUNK]
-        for k_slots, k_mult in zip(slots, mult):
-            block += k_mult * exps[k_slots]
+    out = np.empty((len(specs), betas.size, qs.size))
+    for lo, block in _grid_blocks(_census_table(specs), betas, qs):
+        out[:, lo:lo + BETA_CHUNK] = block
     return out
 
 
@@ -316,26 +334,47 @@ def _profiles(specs, betas):
     refinement would only have chased float noise, so on flat profiles f_T
     may differ from it by a few ulps; nothing printed changes.
 
-    One t_density_grid call scans every row; the route of the rest is
-    chosen once per call.  One beta takes the scalar route: _term_sum
-    bounds, _golden_max per maximum and t_density at the ends.  Curves take
-    the lane route on one _census_table: one _lane_sum for the bounds, one
-    _golden_lanes search and one _t_lanes call for both ends of every row,
-    each lane with the scalar route's bits."""
+    One _census_table serves the grid and the lane route.  The grid is
+    scanned one _grid_blocks pass of BETA_CHUNK betas at a time, and each
+    pass leaves only what is read below: each row's top, flat flag and two
+    grid ends, and its local maxima (row, q index, value), so no whole
+    (censuses x betas x q) grid is held.  The route of the rest is chosen
+    once per call.  One beta takes the scalar route: _term_sum bounds,
+    _golden_max per maximum and t_density at the ends.  Curves take the
+    lane route: one _lane_sum for the bounds, one _golden_lanes search and
+    one _t_lanes call for both ends of every row, each lane with the
+    scalar route's bits."""
     import numpy as np
 
-    qs, nb = _q_grid(), len(betas)
-    # row i holds beta i % nb of census i // nb
-    ts = t_density_grid(specs, betas, qs).reshape(-1, qs.size)
-    top = ts.max(axis=1)
-    flat = ts.min(axis=1) >= top * (1.0 - REL_TOL)
-    # a local maximum of a row that is not flat: at least each neighbour
-    peak = np.repeat(~flat[:, None], qs.size, axis=1)
-    peak[:, 1:] &= ts[:, 1:] >= ts[:, :-1]
-    peak[:, :-1] &= ts[:, :-1] >= ts[:, 1:]
-    row_graphs = np.repeat(np.arange(len(specs)), nb)
-    row_betas = np.tile(np.asarray(betas, dtype=float), len(specs))
-    rows, peaks = np.nonzero(peak)
+    qs, nb, ng = _q_grid(), len(betas), len(specs)
+    if not nb:
+        return ((),) * ng
+    beta_array = np.asarray(betas, dtype=float)
+    _check_grid("beta", beta_array)
+    table = _census_table(specs)
+    # [g, j] is the row of beta j of census g; flattened, row i holds
+    # beta i % nb of census i // nb
+    top, flat = np.empty((ng, nb)), np.empty((ng, nb), dtype=bool)
+    grid_ends, maxima = np.empty((ng, nb, 2)), []
+    for start, ts in _grid_blocks(table, beta_array[:, None], qs):
+        cols = slice(start, start + BETA_CHUNK)
+        top[:, cols] = block_top = ts.max(axis=2)
+        flat[:, cols] = block_flat = ts.min(axis=2) >= block_top * (1.0 - REL_TOL)
+        grid_ends[:, cols] = ts[..., [0, -1]]
+        # a local maximum of a row that is not flat: at least each neighbour
+        peak = np.repeat(~block_flat[..., None], qs.size, axis=2)
+        peak[..., 1:] &= ts[..., 1:] >= ts[..., :-1]
+        peak[..., :-1] &= ts[..., :-1] >= ts[..., 1:]
+        g, j, p = np.nonzero(peak)
+        maxima.append((g * nb + start + j, p, ts[peak]))
+    # (row, q index, value) of every maximum in row-major order, as a scan
+    # of the whole grid at once lists them
+    rows, peaks, values = (np.concatenate(v) for v in zip(*maxima))
+    order = np.argsort(rows, kind="stable")
+    rows, peaks, values = rows[order], peaks[order], values[order]
+    top, flat = top.reshape(-1), flat.reshape(-1)
+    row_graphs = np.repeat(np.arange(ng), nb)
+    row_betas = np.tile(beta_array, ng)
     graphs, lanes = row_graphs[rows], row_betas[rows]
     lo, hi = qs[np.maximum(peaks - 1, 0)], qs[np.minimum(peaks + 1, Q_GRID)]
     # each maximum's skip bound is the term sum at (y(hi), r(lo), b(lo))
@@ -352,7 +391,6 @@ def _profiles(specs, betas):
                     for g, *bracket in zip(graphs[keep].tolist(), lo[keep].tolist(),
                                            hi[keep].tolist())]
     else:
-        table = _census_table(specs)
         bounds = _lane_sum(table, graphs, y, r, b)
         t0, t1 = np.split(_t_lanes(table, np.tile(row_graphs, 2), np.tile(row_betas, 2),
                                    np.repeat([0.0, 1.0], row_betas.size)), 2)
@@ -361,10 +399,10 @@ def _profiles(specs, betas):
         def refine(keep):
             return _golden_lanes(table, graphs[keep], lanes[keep], lo[keep], hi[keep])
     keep = np.flatnonzero(np.asarray(bounds) * (1.0 + 1e-9) >= top[rows] * (1.0 - REL_TOL))
-    grid_ends = ts[:, [0, -1]].tolist()
+    grid_ends = grid_ends.reshape(-1, 2).tolist()
     candidates = {i: [(0.0, grid_ends[i][0]), (1.0, grid_ends[i][1])]
                   for i in np.flatnonzero(~flat).tolist()}
-    for i, q, t in zip(rows.tolist(), qs[peaks].tolist(), ts[peak].tolist()):
+    for i, q, t in zip(rows.tolist(), qs[peaks].tolist(), values.tolist()):
         candidates[i].append((q, t))
     for i, qt in zip(rows[keep].tolist(), refine(keep)):
         candidates[i].append(qt)

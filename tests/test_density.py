@@ -430,31 +430,67 @@ def test_route_follows_the_beta_count(monkeypatch):
     # one beta takes the scalar route throughout (t_density and _golden_max)
     # and a curve the lane route throughout (_t_lanes, _lane_sum and
     # _golden_lanes), also when a single maximum is left to refine in a
-    # curve (the default grid for G6 has rows with one surviving maximum)
+    # curve (the default grid for G6 has rows with one surviving maximum);
+    # either scans its grid one _grid_blocks pass per BETA_CHUNK betas, on
+    # one _census_table per chunk of censuses
     calls = Counter()
     for name in ("_golden_max", "t_density", "_golden_lanes", "_lane_sum", "_t_lanes",
-                 "t_density_grid"):
+                 "_census_table"):
         def counting(*args, _name=name, _f=getattr(density, name)):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(density, name, counting)
+
+    def counting_passes(*args, _f=density._grid_blocks):
+        for grid_pass in _f(*args):
+            calls["grid pass"] += 1
+            yield grid_pass
+    monkeypatch.setattr(density, "_grid_blocks", counting_passes)
     g6 = spectrum(builtin_graph("G6"))
     curve_sample(g6, 0.3)
     assert calls["_golden_max"] and calls["t_density"]
     assert calls["_golden_lanes"] == calls["_lane_sum"] == calls["_t_lanes"] == 0
-    assert calls["t_density_grid"] == 1
-    for betas in ([0.01, 0.3], classify.default_beta_grid()):
+    assert calls["grid pass"] == calls["_census_table"] == 1
+    assert density.BETA_CHUNK == 8 and len(classify.default_beta_grid()) == 129
+    for betas, passes in (([0.01, 0.3], 1), (classify.default_beta_grid(), 17)):
         calls.clear()
         density_curve(g6, betas)
         assert calls["_golden_lanes"] == 1 and calls["_lane_sum"] and calls["_t_lanes"]
         assert calls["_golden_max"] == calls["t_density"] == 0
-        assert calls["t_density_grid"] == 1
-    # one grid call per chunk of censuses: 9 graphs are chunks of 8 and 1
+        assert calls["grid pass"] == passes and calls["_census_table"] == 1
+    # one pass and one table per chunk of censuses: 9 graphs are chunks of 8 and 1
     specs = [spectrum(g) for g in enumerate_connected_graphs(4)]
     assert len(specs) == 9 and density.GRAPH_CHUNK == 8
     calls.clear()
     assert len(list(density_curves(specs, [0.01, 0.3]))) == 9
-    assert calls["t_density_grid"] == 2
+    assert calls["grid pass"] == calls["_census_table"] == 2
+
+
+def test_curve_peak_memory():
+    # a chunk's grid is reduced one _grid_blocks pass at a time, so the
+    # curves never hold a whole (censuses x betas x q) grid: 8 x 129 x 129
+    # floats are 1.07 MB, and holding it with two masks of the same shape
+    # puts the traced peak near 2.75 MB; streamed it is about 1.67 MB
+    import tracemalloc
+
+    specs = [spectrum(g) for g in enumerate_connected_graphs(5)]
+    betas = classify.default_beta_grid()
+    assert len(specs) == 30
+    list(density_curves(specs[:density.GRAPH_CHUNK], betas))
+    tracemalloc.start()
+    try:
+        for _ in density_curves(specs, betas):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2e6
+
+
+def test_empty_beta_grid(g6):
+    assert density_curve(spectrum(g6), []) == ()
+    curve = classify.q_star_curve(g6, [])
+    assert curve.samples == () and curve.non_decreasing and curve.violations == ()
 
 
 def test_pruned_profiles_match_reference():
