@@ -48,6 +48,7 @@ from .hosts import (
     automorphism_count,
     injective_count,
     injective_count_from_spectrum,
+    three_class_graph,
 )
 from .weightings import WeightingSpectrum, spectrum
 
@@ -234,13 +235,12 @@ def three_class_host_probe(n: int, e: int, pattern: Graph) -> ThreeClassProbe:
     best_sizes = None
     for ny in range(n + 1):
         for nr in range(n - ny + 1):
-            nb = n - ny - nr
-            edges = ny * (ny - 1) // 2 + nr * (nr - 1) // 2 + nr * ny + nr * nb
-            if edges > e:
+            sizes = ny, nr, n - ny - nr
+            if three_class_graph(*sizes).edge_count > e:
                 continue
-            c = _copies(injective_count_from_spectrum(spec, (ny, nr, nb)), aut)
+            c = _copies(injective_count_from_spectrum(spec, sizes), aut)
             if c > best:
-                best, best_sizes = c, (ny, nr, nb)
+                best, best_sizes = c, sizes
     ratio = best / exhaustive_max if exhaustive_max > 0 else math.nan
     return ThreeClassProbe(exhaustive_max=exhaustive_max, family_max=best,
                            family_sizes=best_sizes, ratio=ratio)

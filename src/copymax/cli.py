@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import classify as cls
 from . import density, hosts, lp, weightings
@@ -221,7 +220,7 @@ def cmd_search(args):
 
 def cmd_lp(args):
     g = _load_graph(args)
-    rep = lp.duality_check(g, Fraction(args.epsilon))
+    rep = lp.duality_check(g, args.epsilon)
     out = {
         "primal": str(rep.primal),
         "dual": str(rep.dual),
@@ -321,7 +320,7 @@ def main(argv=None):
     except hosts.CountBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

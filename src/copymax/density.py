@@ -29,7 +29,8 @@ from the live logs, so it lies in about [-6.2e301, -1e300]: no overflow,
 and its exp is exactly 0.0 in math and in numpy (whose underflow is
 ignored by default), so the term adds +0.0 to a sum that is never negative.
 
-_term_sum adds the terms at one point with math.exp.  Every numpy
+_term_sum(entries, y, r, b) adds the terms at one point with math.exp,
+reading the census's ((rc, yc, bc), mult) entries as they are.  Every numpy
 evaluation reads one layout, a chunk's _census_table: _grid_blocks over a
 beta column x a q array, BETA_CHUNK betas a pass, with np.exp, and _lane_sum
 over (census, y, r, b) lanes with math.exp.  Each value has the
@@ -37,11 +38,13 @@ bits of the one-census loop at its point with the same exp, as it does the
 same IEEE ops on the same operands: the log of each fraction, the exponent
 yc ly + rc lr + bc lb in that order (counts <= 62 are exact as floats),
 its exp, and mult * exp added to a running total in the census's entry
-order.  Points that share their logs, and censuses that share a count
-triple, share its exp, which changes no operand.  An entry that pads a
-census to the table's width has mult 0.0, and every log is <= 0 (no
-fraction exceeds 1), so its exp is finite and the term is +0.0, which
-leaves the bits of a total that is never negative.  So every grid row and
+order.  A multiplicity is at most 3^16 < 2^53, so the loop's int mult
+times a float rounds exactly as the table's float mult does.  Points that
+share their logs, and censuses that share a count triple, share its exp,
+which changes no operand.  An entry that pads a census to the table's
+width has mult 0.0, and every log is <= 0 (no fraction exceeds 1), so its
+exp is finite and the term is +0.0, which leaves the bits of a total that
+is never negative.  So every grid row and
 every curve sample has the bits of a one-census, one-beta call.
 
 The supremum over q is a grid scan plus golden-section refinement of the
@@ -111,17 +114,16 @@ def _fractions(beta, q, sqrt=math.sqrt):
     return y, r, b
 
 
-def _logs(y, r, b):
-    """math.log of each class fraction, with _EMPTY_LOG for an empty class."""
-    return (math.log(y) if y > 0.0 else _EMPTY_LOG, math.log(r) if r > 0.0 else _EMPTY_LOG,
-            math.log(b) if b > 0.0 else _EMPTY_LOG)
-
-
-def _term_sum(terms, ly, lr, lb):
-    """sum of mult * exp(yc ly + rc lr + bc lb) over the (yc, rc, bc, mult)
-    terms, added in entry order: the census sum in log space at one point."""
+def _term_sum(entries, y, r, b):
+    """The census sum at the class fractions (y, r, b): mult * exp(yc ly +
+    rc lr + bc lb) over the ((rc, yc, bc), mult) census entries, added in
+    entry order, with ly, lr, lb the math.log of each fraction (_EMPTY_LOG
+    for an empty class)."""
+    ly = math.log(y) if y > 0.0 else _EMPTY_LOG
+    lr = math.log(r) if r > 0.0 else _EMPTY_LOG
+    lb = math.log(b) if b > 0.0 else _EMPTY_LOG
     total = 0.0
-    for yc, rc, bc, mult in terms:
+    for (rc, yc, bc), mult in entries:
         total += mult * math.exp(yc * ly + rc * lr + bc * lb)
     return total
 
@@ -129,7 +131,7 @@ def _term_sum(terms, ly, lr, lb):
 def t_density(spec, beta: float, q: float) -> float:
     """Census sum for one (beta, q)."""
     _check_range(beta, q)
-    return _term_sum(spec.density_terms, *_logs(*_fractions(beta, q)))
+    return _term_sum(spec.entries, *_fractions(beta, q))
 
 
 def _check_grid(name, values):
@@ -152,17 +154,18 @@ def star_density(spec, beta: float) -> float:
 
 
 def _census_table(specs):
-    """A chunk's censuses as t_density_grid and _lane_sum read them: its
-    distinct (yc, rc, bc) triples as three (T, 1) count columns, and per
-    entry k of census g the index slots[k, g] of its triple and its
-    mult[k, g], zero-padded."""
+    """A chunk's census entries as t_density_grid and _lane_sum read them:
+    its distinct (yc, rc, bc) count triples as three (T, 1) count columns,
+    and per entry k of census g the index slots[k, g] of its triple and its
+    multiplicity mult[k, g] as a float (exact: it is at most 3^16),
+    zero-padded."""
     import numpy as np
 
     index = {}
-    slots = np.zeros((max(len(s.density_terms) for s in specs), len(specs)), dtype=np.intp)
+    slots = np.zeros((max(len(s.entries) for s in specs), len(specs)), dtype=np.intp)
     mult = np.zeros(slots.shape)
     for g, spec in enumerate(specs):
-        for k, (yc, rc, bc, m) in enumerate(spec.density_terms):
+        for k, ((rc, yc, bc), m) in enumerate(spec.entries):
             slots[k, g], mult[k, g] = index.setdefault((yc, rc, bc), len(index)), m
     return np.array(list(index), dtype=float).T[:, :, None], slots, mult
 
@@ -217,8 +220,8 @@ def t_density_grid(specs, betas, qs):
 
 
 def _lane_sum(table, graphs, y, r, b):
-    """_term_sum(terms of census g, *_logs(y, r, b)) at each lane
-    (g, y, r, b) of four 1-D arrays, with its bits (module docstring): one
+    """_term_sum(entries of census g, y, r, b) at each lane (g, y, r, b) of
+    four 1-D arrays, with its bits (module docstring): one
     math.log per live class of each distinct (y, r, b) point, one math.exp
     per (distinct point, table triple), then each lane's running sum of its
     census's mult * exp terms in entry order (np.sum or @ would reorder)."""
@@ -367,11 +370,9 @@ def _profiles(specs, betas):
         peak[..., :-1] &= ts[..., :-1] >= ts[..., 1:]
         g, j, p = np.nonzero(peak)
         maxima.append((g * nb + start + j, p, ts[peak]))
-    # (row, q index, value) of every maximum in row-major order, as a scan
-    # of the whole grid at once lists them
+    # (row, q index, value) of every maximum, pass by pass: a row's maxima
+    # are all in one pass, in q order, and the rows' order matters nowhere
     rows, peaks, values = (np.concatenate(v) for v in zip(*maxima))
-    order = np.argsort(rows, kind="stable")
-    rows, peaks, values = rows[order], peaks[order], values[order]
     top, flat = top.reshape(-1), flat.reshape(-1)
     row_graphs = np.repeat(np.arange(ng), nb)
     row_betas = np.tile(beta_array, ng)
@@ -382,7 +383,7 @@ def _profiles(specs, betas):
     _, r, b = _fractions(lanes, lo, np.sqrt)
     if nb == 1:
         beta = betas[0]
-        bounds = [_term_sum(specs[g].density_terms, *_logs(*v))
+        bounds = [_term_sum(specs[g].entries, *v)
                   for g, *v in zip(graphs.tolist(), y.tolist(), r.tolist(), b.tolist())]
         ends = [(star_density(spec, beta), clique_density(spec, beta)) for spec in specs]
 

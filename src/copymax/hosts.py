@@ -78,17 +78,16 @@ def three_class_graph(ny: int, nr: int, nb: int) -> Graph:
 
 def class_sizes(n: int, beta: float, q: float) -> tuple:
     """(|Y|, |R|, |B|) of the three-class host on n vertices: |Y| and |R|
-    rounded to nearest, the remainder to B."""
+    rounded to nearest, the remainder to B.  Where both round up past n
+    (by one at most, as at beta = 1, where b = 0 and y n and r n may both
+    end in 1/2), |R| gives the excess back and B is empty."""
     if n < 10:
         raise ValueError("hosts need n >= 10")
     _check_range(beta, q)
     y, r, _ = _fractions(beta, q)
     ny = math.floor(y * n + 0.5)
-    nr = math.floor(r * n + 0.5)
-    nb = n - ny - nr
-    if nb < 0:
-        raise ValueError(f"rounding left no room for the B class at n={n}")
-    return ny, nr, nb
+    nr = min(math.floor(r * n + 0.5), n - ny)
+    return ny, nr, n - ny - nr
 
 
 def _search_order(pattern: Graph):

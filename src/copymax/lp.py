@@ -46,10 +46,14 @@ class DualityReport:
 
 
 def _as_eps(eps) -> Fraction:
-    eps = Fraction(eps)
-    if not F0 < eps < 2:
-        raise ValueError(f"eps must lie in (0, 2), got {eps}")
-    return eps
+    """eps as a Fraction, from a number or a text such as '1/10'."""
+    try:
+        value = Fraction(eps)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"eps must be a rational number such as 1/10, got {eps!r}") from None
+    if not F0 < value < 2:
+        raise ValueError(f"eps must lie in (0, 2), got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------

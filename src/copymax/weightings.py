@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .graphs import Graph
 
@@ -41,12 +41,6 @@ class WeightingSpectrum:
     alpha: int
     alpha_star: Fraction
     maximiser_counts: tuple
-
-    @cached_property
-    def density_terms(self):
-        """The entries as (y, r, b, float multiplicity), the order the
-        density evaluators read; built once per census."""
-        return tuple((y, r, b, float(m)) for (r, y, b), m in self.entries)
 
     @property
     def total_weightings(self):

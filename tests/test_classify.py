@@ -344,6 +344,20 @@ def test_three_class_probe():
     assert sum(probe.family_sizes) == 6
 
 
+@pytest.mark.parametrize("n, e, pattern", [
+    pytest.param(7, 12, builtin_graph("G6"), id="G6"),
+    *(pytest.param(6, 6, g, id=write_graph6(g)) for g in enumerate_connected_graphs(4)),
+])
+def test_three_class_probe_host_fits_the_edge_bound(n, e, pattern):
+    # the best family host has at most e edges, and its copies are the
+    # backtracking count over the automorphisms
+    probe = three_class_host_probe(n, e, pattern)
+    host = hosts.three_class_graph(*probe.family_sizes)
+    assert host.edge_count <= e
+    assert probe.family_max * hosts.automorphism_count(pattern) == \
+        hosts.injective_count(pattern, host)
+
+
 def test_three_class_probe_p4_small_host():
     # how much of the true extremum the three-class family captures at
     # n = 7, e = 7 is a report, not an assertion; at this tiny scale no

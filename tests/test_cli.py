@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from copymax import cli
 from copymax.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -302,6 +303,16 @@ def test_invalid_input_exit_code():
     run_cli("analyze", "--graph", "1-1", expect=2)
     run_cli("analyze", "--graph", "1-2", "--builtin", "P2", expect=2)
     run_cli("crossover", "--builtin", "G6", "--q1", "1", "--q2", "7", expect=2)
+
+
+def test_internal_zero_division_is_not_invalid_input(monkeypatch):
+    # every input error is a ValueError; a ZeroDivisionError is a fault of
+    # the program, so it is not reported as exit 2
+    def divide_by_zero(args):
+        return 1 // 0
+    monkeypatch.setattr(cli, "cmd_lp", divide_by_zero)
+    with pytest.raises(ZeroDivisionError):
+        main(["lp", "--builtin", "G6"])
 
 
 def test_budget_exit_code():

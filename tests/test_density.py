@@ -30,7 +30,6 @@ from copymax.density import (
     _golden_lanes,
     _golden_max,
     _lane_sum,
-    _logs,
     _t_lanes,
     _term_sum,
 )
@@ -298,11 +297,10 @@ def test_lane_sum_has_the_scalar_bits(g, points):
     points = [(beta, q) for b0, q0 in points
               for beta, q in ((b0, q0), (0.0, q0), (1.0, q0), (b0, 0.0), (b0, 1.0))]
     spec = spectrum(g)
-    terms = spec.density_terms
     table, census = _census_table([spec]), np.zeros(len(points), dtype=np.intp)
     fractions = [_fractions(beta, q) for beta, q in points]
     lanes = _lane_sum(table, census, *(np.array(v) for v in zip(*fractions)))
-    scalar = [_term_sum(terms, *_logs(*f)) for f in fractions]
+    scalar = [_term_sum(spec.entries, *f) for f in fractions]
     assert _bits(lanes.tolist()) == _bits(scalar)
     betas, qs = (np.array(v) for v in zip(*points))
     assert _bits(_t_lanes(table, census, betas, qs).tolist()) == \
@@ -550,13 +548,6 @@ def test_sweep_refinement_count(monkeypatch):
     # curves take the lane route, so every scalar evaluation is one of the
     # one-beta samples'
     assert len(calls) == sum(in_samples) == 2296
-
-
-def test_density_terms_built_once(g6_spec):
-    terms = g6_spec.density_terms
-    assert g6_spec.density_terms is terms
-    assert len(terms) == len(g6_spec.entries)
-    assert all(isinstance(t[3], float) for t in terms)
 
 
 def test_density_monotone_in_beta(g6_spec):

@@ -87,6 +87,21 @@ def test_build_host_rejects_tiny():
         class_sizes(5, 0.2, 0.5)
 
 
+@pytest.mark.parametrize("n, q, sizes", [(11, 0.5, (6, 5, 0)), (13, 0.5, (7, 6, 0)),
+                                         (15, 0.3, (5, 10, 0))])
+def test_beta_one_hosts_fit_n(g6, n, q, sizes, capsys):
+    # at beta = 1, b = 0 and y n and r n may both end in 1/2: rounding both
+    # up overshot n by one, and the host used to be refused
+    assert class_sizes(n, 1.0, q) == sizes
+    host = three_class_graph(*sizes)
+    (report,) = convergence_report(g6, 1.0, q, [n])
+    assert report.injective == injective_count(g6, host)
+    assert report.hom == hom_count(g6, host)
+    assert main(["oracle", "--builtin", "G6", "--beta", "1", "--q", str(q),
+                 "--n-list", str(n)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"{n},1,{q},{report.hom},")
+
+
 def test_edge_count_slack():
     for n in (30, 100, 500, 2000):
         for beta in (0.1, 0.2, 0.5, 0.9):

@@ -99,6 +99,14 @@ def test_duality_json_schema(capsys):
     assert d["witness_x"]["x1"] == "19/20"
 
 
+def test_lp_refuses_a_zero_denominator(capsys):
+    # Fraction('1/0') raises ZeroDivisionError, which used to print as
+    # "error: Fraction(1, 0)"
+    assert main(["lp", "--builtin", "G6", "--epsilon", "1/0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: eps must be a rational number such as 1/10, got '1/0'\n"
+
+
 def test_duality_check_rejects_large_eps(g6):
     # beyond eps = 1 the closed form stops matching the LP optimum (already
     # for the 2-edge path the box constraint x >= 0 binds first)
