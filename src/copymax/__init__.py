@@ -6,9 +6,9 @@ independence structure.  This package computes the machinery exactly and
 numerically, and cross-checks every closed form against brute-force counts
 on explicit finite graphs.
 
-numpy is imported inside the functions that vectorise (the q grid, the beta
-grids, the pair-image table), never at module top, so the exact routes
-(census, oracle counts, the Fraction simplex) start and run without it.
+numpy is imported inside the functions that vectorise (the q grid and the
+beta grids), never at module top, so the exact routes (census, class
+enumeration, oracle counts, the Fraction simplex) start and run without it.
 """
 
 from .graphs import (

@@ -13,7 +13,6 @@ search in ``copymax.hosts`` (as self-embeddings), not computed here.
 
 from __future__ import annotations
 
-import itertools
 import re
 from functools import lru_cache
 
@@ -114,8 +113,8 @@ def _pairs(n):
     return tuple((i, j) for j in range(n) for i in range(j))
 
 
-def _edge_bits(g):
-    return [v * (v - 1) // 2 + u for u, v in g.edges]       # edges have u < v
+def _bit(i, j):
+    return j * (j - 1) // 2 + i                   # pair i < j
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
@@ -191,7 +190,7 @@ def write_graph6(g: Graph) -> str:
     """Encode in graph6 (column-major upper-triangle bits, 6 per byte)."""
     if g.n > 62:
         raise ValueError("graph6 single-byte form needs v <= 62")
-    mask = sum(1 << k for k in _edge_bits(g))
+    mask = sum(1 << _bit(u, v) for u, v in g.edges)       # edges have u < v
     out = [chr(g.n + 63)]
     for k in range(0, g.n * (g.n - 1) // 2, 6):      # bit k is a byte's high bit
         out.append(chr(63 + sum((mask >> (k + i) & 1) << (5 - i) for i in range(6))))
@@ -291,62 +290,89 @@ def is_connected(g: Graph) -> bool:
 # canonical forms and enumeration up to isomorphism
 #
 # The canonical form is the minimum, over all n! vertex permutations, of the
-# permuted edge mask.  ``_pair_images(n)`` holds, for each pair bit, its
-# image bit under every permutation, so a graph's n! images are the OR of
-# its edges' rows and one numpy min gives the form.  The rows are int32,
-# which holds the C(8, 2) = 28 pair bits of MAX_ENUMERATION vertices.
+# permuted edge mask.  Column p (pairs (i, p), i < p, as bits i) outweighs
+# every column below it, so ``_lower`` places vertices at positions n-1 down
+# to 0, each with its least column: in each cell of an ordered partition of
+# the free positions its non-neighbours go above its neighbours.  Only ties
+# branch, and twins (N(u) - {w} = N(w) - {u}: their swap fixes the placement)
+# only once.  Classes are generated orderly (Read 1978): setting the lowest
+# zero bit of a least mask gives a least mask, so each class hangs once
+# below the complete graph.
 
-@lru_cache(maxsize=None)
-def _pair_images(n):
-    """(C(n,2), n!) int32 table: row k is 1 << (image of pair bit k) under
-    each permutation, in itertools.permutations order."""
-    import numpy as np
-
-    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
-                        dtype=np.int8).reshape(-1, n)
-    i, j = np.array(_pairs(n), dtype=np.intp).reshape(-1, 2).T
-    bit = np.zeros((n, n), dtype=np.int32)
-    bit[i, j] = bit[j, i] = np.arange(len(i))        # the pair bit of {i, j}
-    return np.ascontiguousarray(np.left_shift(1, bit[perms[:, i], perms[:, j]]).T)
-
-
-def _images(table, bits):
-    """Edge masks of one graph under every permutation, from its pair bits."""
-    import numpy as np
-
-    images = np.zeros(table.shape[1], dtype=np.int32)
-    for k in bits:
-        images |= table[k]
-    return images
+def _lower(adj, cells, p, best, stop):
+    """Lower ``best`` (best[q] is column q of the least mask found) along
+    the placements of the ordered ``cells`` ((vertex bitmask, lowest
+    position) pairs, top first) at positions p down to 0.  True if some
+    placement went below ``best``; with ``stop``, return then and leave
+    ``best`` as it was."""
+    if p == 0:
+        return False
+    bound, least, ties = best[p], 1 << p, []
+    for u, a in enumerate(adj):
+        if cells[0][0] >> u & 1:
+            col = 0
+            for c, lo in cells:
+                col |= ((1 << (c & a).bit_count()) - 1) << lo
+            if col < bound and stop:
+                return True
+            if col < least:
+                least, ties = col, [u]
+            elif col == least:
+                ties.append(u)
+    if least > bound:
+        return False
+    lowered = least < bound
+    if lowered:                                   # 1 << p is above every lower column
+        best[:p + 1] = [1 << p] * p + [least]
+    tried = []
+    for u in ties:
+        if any(not (adj[u] ^ adj[w]) & ~(1 << u | 1 << w) for w in tried):
+            continue                              # a twin of a tried vertex
+        tried.append(u)
+        a = adj[u]
+        refined = [cell for c, lo in ((cells[0][0] ^ 1 << u, cells[0][1]), *cells[1:])
+                   for cell in ((c & ~a, lo + (c & a).bit_count()), (c & a, lo)) if cell[0]]
+        lowered |= _lower(adj, refined, p - 1, best, stop)
+        if lowered and stop:
+            return True
+    return lowered
 
 
 def canonical_form(g: Graph):
     """(n, minimum edge bitmask); equal exactly for isomorphic graphs."""
     if g.n > MAX_ENUMERATION:
         raise ValueError(f"canonical form limited to {MAX_ENUMERATION} vertices")
-    return (g.n, int(_images(_pair_images(g.n), _edge_bits(g)).min()))
+    best = [1 << g.n] * g.n
+    _lower(g.adj, [((1 << g.n) - 1, 0)], g.n - 1, best, False)
+    return (g.n, sum(best[p] << _bit(0, p) for p in range(1, g.n)))
 
 
 @lru_cache(maxsize=None)
 def _graph_classes(n):
-    """Canonical masks of every isomorphism class on n vertices, grouped by
-    edge count (built level by level: every class with k+1 edges arises from
-    one with k edges by adding a single edge).  Each class's images are
-    formed once; adding free pair k to all of them is one OR with row k."""
-    import numpy as np
-
-    table = _pair_images(n)
-    buf = np.empty(table.shape[1], dtype=np.int32)
-    levels = [(0,)]
-    for _ in range(len(table)):
-        nxt = set()
+    """Canonical masks of every isomorphism class on n vertices, by edge
+    count.  The children of a canonical mask P are P - 2^j for each bit j
+    below P's lowest zero bit; a child is kept if no relabelling lowers it."""
+    pairs = _pairs(n)
+    levels = [((1 << len(pairs)) - 1,)]
+    for _ in pairs:
+        nxt = []
         for mask in levels[-1]:
-            images = _images(table, [k for k in range(len(table)) if mask >> k & 1])
-            for k in range(len(table)):
-                if not mask >> k & 1:
-                    nxt.add(int(np.bitwise_or(images, table[k], out=buf).min()))
+            adj = [0] * n
+            for k, (u, v) in enumerate(pairs):
+                if mask >> k & 1:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            for j in range((~mask & mask + 1).bit_length() - 1):
+                u, v = pairs[j]
+                a = adj[:]
+                a[u] ^= 1 << v
+                a[v] ^= 1 << u
+                child = mask ^ 1 << j
+                best = [child >> _bit(0, p) & (1 << p) - 1 for p in range(n)]
+                if not _lower(a, [((1 << n) - 1, 0)], n - 1, best, True):
+                    nxt.append(child)
         levels.append(tuple(sorted(nxt)))
-    return levels
+    return levels[::-1]
 
 
 def enumerate_connected_graphs(max_v: int):

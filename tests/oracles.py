@@ -119,19 +119,27 @@ def ref_quotient(g, partition):
     return len(partition), sorted(edges)
 
 
+def _ref_least_mask(n, edges):
+    """Minimum edge mask of an n-vertex edge list over itertools.permutations
+    (pair i < j is bit j(j-1)/2 + i): n! work."""
+    bit = {(i, j): j * (j - 1) // 2 + i for j in range(n) for i in range(j)}
+    return min(sum(1 << bit[tuple(sorted((p[u], p[v])))] for u, v in edges)
+               for p in itertools.permutations(range(n)))
+
+
+def ref_canonical_form(g):
+    """(n, minimum edge mask over all n! relabellings)."""
+    return g.n, _ref_least_mask(g.n, g.edges)
+
+
 def ref_graph_classes(n):
-    """Every labelled graph on n vertices reduced to its minimum edge mask
-    over itertools.permutations (pair i < j is bit j(j-1)/2 + i), grouped
-    by edge count as sorted tuples.  2^C(n,2) * n! work: n <= 5."""
+    """Every labelled graph on n vertices reduced to its minimum edge mask,
+    grouped by edge count as sorted tuples.  2^C(n,2) * n! work: n <= 5."""
     pairs = [(i, j) for j in range(n) for i in range(j)]
-    bit = {pair: k for k, pair in enumerate(pairs)}
-    perms = list(itertools.permutations(range(n)))
     levels = [set() for _ in range(len(pairs) + 1)]
     for mask in range(1 << len(pairs)):
         edges = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
-        levels[len(edges)].add(min(
-            sum(1 << bit[tuple(sorted((p[u], p[v])))] for u, v in edges)
-            for p in perms))
+        levels[len(edges)].add(_ref_least_mask(n, edges))
     return [tuple(sorted(level)) for level in levels]
 
 

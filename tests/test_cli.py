@@ -415,6 +415,8 @@ for argv in (["oracle", "--builtin", "G6", "--beta", "0.2", "--q", "1/sqrt2",
               "--n-list", "30,60,90"],
              ["lp", "--builtin", "C16", "--epsilon", "1/10"],
              ["analyze", "--builtin", "G6"],
+             ["search", "--max-v", "6"],
+             ["ex", "--builtin", "G6", "--n", "6", "--e", "9"],
              ["profile", "--builtin", "G6"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
@@ -431,7 +433,8 @@ def test_exact_commands_never_load_numpy():
                         text=True, env={**os.environ, "PYTHONPATH": path})
     assert cp.returncode == 0, cp.stderr
     assert json.loads(cp.stdout) == {"import": False, "oracle": False, "lp": False,
-                                     "analyze": False, "profile": True}
+                                     "analyze": False, "search": False, "ex": False,
+                                     "profile": True}
 
 
 MA_PROBE = """

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -33,6 +34,7 @@ from oracles import (
     disjoint_union,
     random_graph,
     ref_automorphism_count,
+    ref_canonical_form,
     ref_graph_classes,
     ref_independent_counts,
 )
@@ -324,12 +326,27 @@ def test_graph_class_counts(n):
     assert tuple(len(level) for level in _graph_classes(n)) == A008406[n]
 
 
+# sha256 of repr(_graph_classes(n)): every representative, the minimum edge
+# mask over all n! relabellings, level by level
+CLASS_DIGESTS = {
+    6: "bc90ba9a99608979b37b147a126b88aa8bddf45f8a04a00bfcbf8881248210cf",
+    7: "baf7a3ad71570e09f53a4f2c0650904a1450bd73876360c14eb2b4d24a3425d7",
+    8: "87724566abb3299ffa43ef2cfb56d29adf15020bf8fe8d4693501325a6c5a7bd",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CLASS_DIGESTS))
+def test_graph_class_representatives_pinned(n):
+    assert hashlib.sha256(repr(_graph_classes(n)).encode()).hexdigest() == CLASS_DIGESTS[n]
+
+
 @given(small_graphs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_canonical_form_is_relabelling_invariant(g, data):
     perm = data.draw(st.permutations(range(g.n)))
     relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
     n, mask = canonical_form(g)
+    assert (n, mask) == ref_canonical_form(g)
     assert canonical_form(relabelled) == (n, mask)
     assert are_isomorphic(g, relabelled)
     assert mask in _graph_classes(n)[g.edge_count]
