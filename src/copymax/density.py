@@ -55,7 +55,9 @@ _grid_blocks pass at a time, and refine every surviving maximum of all
 their rows in one lockstep golden-section search, whose
 lanes each take the scalar search's float steps and are evaluated in one
 _lane_sum call per step.  A one-beta sample, as in the boundary bisection,
-refines on the scalar route, which is cheaper than numpy there.
+refines on the scalar route, which is cheaper than numpy there.  Both
+routes resolve every sample from one flat array of (row, q, t) candidates
+by exact array maxima and minima.
 
 Every beta boundary (the S/T/K winner changes and the crossover of two q
 values) is found by one search: side_changes scans a grid for the first
@@ -273,11 +275,11 @@ def _golden_max(f, lo, hi, tol):
 
 
 def _golden_lanes(table, graphs, betas, lo, hi):
-    """_golden_max(t(beta, .), lo, hi, REFINE_TOL) as a (q, t) pair for each
-    (graph, beta) lane of the 1-D arrays graphs, betas, lo and hi, the
-    lanes stepped in lockstep: every lane takes _golden_max's float ops and
-    stops at its own b - a <= REFINE_TOL, and the new points of one step
-    are evaluated in one _t_lanes call."""
+    """_golden_max(t(beta, .), lo, hi, REFINE_TOL) for each (graph, beta)
+    lane of the 1-D arrays graphs, betas, lo and hi, as a q array and a t
+    array, the lanes stepped in lockstep: every lane takes _golden_max's
+    float ops and stops at its own b - a <= REFINE_TOL, and the new points
+    of one step are evaluated in one _t_lanes call."""
     import numpy as np
 
     a, b = lo.copy(), hi.copy()
@@ -298,7 +300,7 @@ def _golden_lanes(table, graphs, betas, lo, hi):
         a[live], b[live], c[live], d[live], fc[live], fd[live] = al, bl, cl, dl, fcl, fdl
         live = live[bl - al > REFINE_TOL]
     pick = fc >= fd
-    return list(zip(np.where(pick, c, d).tolist(), np.where(pick, fc, fd).tolist()))
+    return np.where(pick, c, d), np.where(pick, fc, fd)
 
 
 @lru_cache(maxsize=None)
@@ -346,7 +348,14 @@ def _profiles(specs, betas):
     _golden_max per maximum and t_density at the ends.  Curves take the
     lane route: one _lane_sum for the bounds, one _golden_lanes search and
     one _t_lanes call for both ends of every row, each lane with the
-    scalar route's bits."""
+    scalar route's bits.
+
+    Resolution: a row that is not flat has as (row, q, t) candidates its
+    grid ends, local grid maxima and refined maxima, in flat arrays; f_T is
+    its largest t, q_star the smallest q of a t at or above f_T * (1 -
+    REL_TOL) (0 when f_T is 0), and tie whether another such q lies more
+    than 1e-6 above q_star: exact maxima and minima (np.maximum.at,
+    np.minimum.at) and a per-row loop's multiply and compares, so its bits."""
     import numpy as np
 
     qs, nb, ng = _q_grid(), len(betas), len(specs)
@@ -383,42 +392,43 @@ def _profiles(specs, betas):
     _, r, b = _fractions(lanes, lo, np.sqrt)
     if nb == 1:
         beta = betas[0]
-        bounds = [_term_sum(specs[g].entries, *v)
-                  for g, *v in zip(graphs.tolist(), y.tolist(), r.tolist(), b.tolist())]
-        ends = [(star_density(spec, beta), clique_density(spec, beta)) for spec in specs]
+        bounds = np.array([_term_sum(specs[g].entries, *v)
+                           for g, *v in zip(graphs.tolist(), y.tolist(), r.tolist(), b.tolist())])
+        t0, t1 = np.array([(star_density(s, beta), clique_density(s, beta)) for s in specs]).T
 
         def refine(keep):
-            return [_golden_max(lambda q: t_density(specs[g], beta, q), *bracket, REFINE_TOL)
-                    for g, *bracket in zip(graphs[keep].tolist(), lo[keep].tolist(),
-                                           hi[keep].tolist())]
+            return np.array([_golden_max(lambda q: t_density(specs[g], beta, q), *bracket,
+                                         REFINE_TOL)
+                             for g, *bracket in zip(graphs[keep].tolist(), lo[keep].tolist(),
+                                                    hi[keep].tolist())]).reshape(-1, 2).T
     else:
         bounds = _lane_sum(table, graphs, y, r, b)
         t0, t1 = np.split(_t_lanes(table, np.tile(row_graphs, 2), np.tile(row_betas, 2),
                                    np.repeat([0.0, 1.0], row_betas.size)), 2)
-        ends = zip(t0.tolist(), t1.tolist())
 
         def refine(keep):
             return _golden_lanes(table, graphs[keep], lanes[keep], lo[keep], hi[keep])
-    keep = np.flatnonzero(np.asarray(bounds) * (1.0 + 1e-9) >= top[rows] * (1.0 - REL_TOL))
-    grid_ends = grid_ends.reshape(-1, 2).tolist()
-    candidates = {i: [(0.0, grid_ends[i][0]), (1.0, grid_ends[i][1])]
-                  for i in np.flatnonzero(~flat).tolist()}
-    for i, q, t in zip(rows.tolist(), qs[peaks].tolist(), values.tolist()):
-        candidates[i].append((q, t))
-    for i, qt in zip(rows[keep].tolist(), refine(keep)):
-        candidates[i].append(qt)
-    out = []
-    for i, (beta, value, (t0, t1)) in enumerate(zip(betas * len(specs), top.tolist(), ends)):
-        q_star, tie = 0.0, True
-        if i in candidates:
-            value = max(t for _, t in candidates[i])
-            threshold = value * (1.0 - REL_TOL) if value > 0.0 else 0.0
-            attaining = sorted(q for q, t in candidates[i] if t >= threshold)
-            q_star = attaining[0]
-            tie = any(q - q_star > 1e-6 for q in attaining)
-        out.append(CurveSample(beta=beta, f_T=value, q_star=q_star, t_star=t0, t_clique=t1,
-                               winner=attribute_winner(value, t0, t1), tie=tie))
-    return tuple(tuple(out[g * nb:(g + 1) * nb]) for g in range(len(specs)))
+    keep = np.flatnonzero(bounds * (1.0 + 1e-9) >= top[rows] * (1.0 - REL_TOL))
+    steep = np.flatnonzero(~flat)
+    refined_qs, refined_ts = refine(keep)
+    cand_rows = np.concatenate((steep, steep, rows, rows[keep]))
+    cand_qs = np.concatenate((np.zeros(steep.size), np.ones(steep.size), qs[peaks], refined_qs))
+    cand_ts = np.concatenate((*grid_ends.reshape(-1, 2)[steep].T, values, refined_ts))
+    # a steep row's grid top is one of its candidates, and a flat row keeps
+    # its grid top as f_T, and 0.0 as q_star and as its largest attaining q
+    f_T = top
+    np.maximum.at(f_T, cand_rows, cand_ts)
+    threshold = np.where(f_T > 0.0, f_T * (1.0 - REL_TOL), 0.0)
+    attains = cand_ts >= threshold[cand_rows]
+    q_star, q_last = np.where(flat, 0.0, np.inf), np.zeros(f_T.size)
+    np.minimum.at(q_star, cand_rows[attains], cand_qs[attains])
+    np.maximum.at(q_last, cand_rows[attains], cand_qs[attains])
+    tie = flat | (q_last - q_star > 1e-6)
+    out = [CurveSample(beta=beta, f_T=f, q_star=q, t_star=s, t_clique=k,
+                       winner=attribute_winner(f, s, k), tie=t)
+           for beta, f, q, s, k, t in zip(betas * ng, f_T.tolist(), q_star.tolist(),
+                                          t0.tolist(), t1.tolist(), tie.tolist())]
+    return tuple(tuple(out[g * nb:(g + 1) * nb]) for g in range(ng))
 
 
 def attribute_winner(f_T: float, t_star: float, t_clique: float) -> str:

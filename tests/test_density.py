@@ -40,6 +40,7 @@ from copymax.graphs import (
     complete_graph,
     cycle_graph,
     enumerate_connected_graphs,
+    parse_graph6,
     path_graph,
     write_graph6,
 )
@@ -260,6 +261,21 @@ def test_flat_profiles_skip_refinement(monkeypatch):
     assert len(calls) > 2
 
 
+@pytest.mark.parametrize("g, beta", [(path_graph(2), 0.5), (parse_graph6("E{a?"), 16 / 25),
+                                     (parse_graph6("E}a?"), 9 / 25)],
+                         ids=["P2 at 1/2", "E{a? at 16/25", "E}a? at 9/25"])
+def test_exact_star_clique_ties_on_steep_rows(g, beta):
+    # t_S = t_K exactly at these betas (an S/K flip), and both ends attain
+    # f_T on a row that is not flat: the smallest attaining q is 0, a q far
+    # above it attains too, and K wins the tie, on both routes
+    spec = spectrum(g)
+    assert not _flat(spec, beta)
+    one, lane = curve_sample(spec, beta), density_curve(spec, [beta / 2, beta])[1]
+    assert _bits(dataclasses.astuple(lane)) == _bits(dataclasses.astuple(one))
+    assert _bits((one.f_T, one.q_star, one.tie)) == _bits(ref_best_t_density(spec, beta))
+    assert (one.tie, one.q_star, one.winner) == (True, 0.0, "K")
+
+
 def test_flat_rule_only_on_k2_and_beta_one():
     graphs = [*enumerate_connected_graphs(5), builtin_graph("G6"), builtin_graph("C7")]
     betas = [1e-5, 0.01, 0.3, 0.9, 1.0]
@@ -345,10 +361,12 @@ def test_lockstep_golden_matches_scalar_lane_by_lane(g, lanes):
     table = _census_table([spec])
     for n in (1, len(lanes)):
         lo, hi = np.array(brackets[:n]).T
-        refined = _golden_lanes(table, np.zeros(n, dtype=np.intp), np.array(betas[:n]), lo, hi)
+        qs, ts = _golden_lanes(table, np.zeros(n, dtype=np.intp), np.array(betas[:n]), lo, hi)
+        assert qs.shape == ts.shape == (n,)
         scalar = [_golden_max(lambda q: t_density(spec, beta, q), *bracket, density.REFINE_TOL)
                   for beta, bracket in zip(betas[:n], brackets[:n])]
-        assert [_bits(qt) for qt in refined] == [_bits(qt) for qt in scalar]
+        assert [_bits(qt) for qt in zip(qs.tolist(), ts.tolist())] == \
+            [_bits(qt) for qt in scalar]
 
 
 def _assert_rows_match_samples(spec, betas):
@@ -468,7 +486,9 @@ def test_curve_peak_memory():
     # a chunk's grid is reduced one _grid_blocks pass at a time, so the
     # curves never hold a whole (censuses x betas x q) grid: 8 x 129 x 129
     # floats are 1.07 MB, and holding it with two masks of the same shape
-    # puts the traced peak near 2.75 MB; streamed it is about 1.67 MB
+    # puts the traced peak near 2.75 MB; streamed it is about 1.65 MB with a
+    # dict of (q, t) lists per row for the samples, and about 1.03 MB with
+    # the samples resolved by array reductions over one flat candidate list
     import tracemalloc
 
     specs = [spectrum(g) for g in enumerate_connected_graphs(5)]
@@ -482,7 +502,7 @@ def test_curve_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.2e6
+    assert peak < 1.4e6
 
 
 def test_empty_beta_grid(g6):
