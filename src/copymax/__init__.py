@@ -43,7 +43,6 @@ from .density import (
     density_curve,
     star_density,
     t_density,
-    t_density_grid,
 )
 from .lp import (
     DualityMismatchError,

@@ -29,35 +29,37 @@ from the live logs, so it lies in about [-6.2e301, -1e300]: no overflow,
 and its exp is exactly 0.0 in math and in numpy (whose underflow is
 ignored by default), so the term adds +0.0 to a sum that is never negative.
 
-_term_sum(entries, y, r, b) adds the terms at one point with math.exp,
-reading the census's ((rc, yc, bc), mult) entries as they are.  Every numpy
-evaluation reads one layout, a chunk's _census_table: _grid_blocks over a
-beta column x a q array, BETA_CHUNK betas a pass, with np.exp, and _lane_sum
-over (census, y, r, b) lanes with math.exp.  Each value has the
-bits of the one-census loop at its point with the same exp, as it does the
-same IEEE ops on the same operands: the log of each fraction, the exponent
-yc ly + rc lr + bc lb in that order (counts <= 62 are exact as floats),
-its exp, and mult * exp added to a running total in the census's entry
-order.  A multiplicity is at most 3^16 < 2^53, so the loop's int mult
-times a float rounds exactly as the table's float mult does.  Points that
-share their logs, and censuses that share a count triple, share its exp,
-which changes no operand.  An entry that pads a census to the table's
-width has mult 0.0, and every log is <= 0 (no fraction exceeds 1), so its
-exp is finite and the term is +0.0, which leaves the bits of a total that
-is never negative.  So every grid row and
-every curve sample has the bits of a one-census, one-beta call.
+_term_sum(entries, y, r, b) adds the terms at one point with math.log and
+math.exp, reading the census's ((rc, yc, bc), mult) entries as they are.
+Every numpy evaluation reads one layout, a chunk's _census_table:
+_grid_blocks, the one grid evaluator (a beta column x a q array, BETA_CHUNK
+betas a pass, np.log and np.exp), and _lane_sum over (census, y, r, b)
+lanes (math.log and math.exp).  Each value does the one-census loop's IEEE
+ops on the same operands: the log of each fraction, the exponent yc ly +
+rc lr + bc lb in that order (counts <= 62 are exact as floats), its exp,
+and mult * exp added to a running total in the census's entry order.  A
+multiplicity is at most 3^16 < 2^53, so the loop's int mult times a float
+rounds exactly as the table's float mult does.  Points that share their
+logs, and censuses that share a count triple, share its exp, which
+changes no operand.  An entry that pads a census to the table's width has
+mult 0.0, and every log is <= 0 (no fraction exceeds 1), so its exp is
+finite and the term is +0.0, which leaves the bits of a total that is
+never negative.  So lanes share the scalar loop's bits, and a grid row
+has the same bits in every chunk and pass; but a grid value may differ in
+the last bit from the scalar loop's, as np.log and np.exp may from math's
+(19 of 400 random (<= 6-vertex graph, beta, q) points, numpy 2.4, x86-64).
+A curve sample reads the grid for its scan and the scalar loop's bits for
+the rest, so it has the bits of a one-census, one-beta call.
 
 The supremum over q is a grid scan plus golden-section refinement of the
 local grid maxima, skipping those that provably cannot reach their row's
 grid maximum (_profiles gives the rule and its proof).  The curves of up
 to GRAPH_CHUNK censuses share one _census_table, scan their grid one
 _grid_blocks pass at a time, and refine every surviving maximum of all
-their rows in one lockstep golden-section search, whose
-lanes each take the scalar search's float steps and are evaluated in one
-_lane_sum call per step.  A one-beta sample, as in the boundary bisection,
-refines on the scalar route, which is cheaper than numpy there.  Both
-routes resolve every sample from one flat array of (row, q, t) candidates
-by exact array maxima and minima.
+their rows in one lockstep golden-section search, whose lanes each take
+the scalar search's float steps and are evaluated in one _lane_sum call
+per step.  A one-beta sample, as in the boundary bisection, refines on
+the scalar route, which is cheaper than numpy there.
 
 Every beta boundary (the S/T/K winner changes and the crossover of two q
 values) is found by one search: side_changes scans a grid for the first
@@ -68,7 +70,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, islice, pairwise
 
 from .graphs import Graph
@@ -156,11 +157,11 @@ def star_density(spec, beta: float) -> float:
 
 
 def _census_table(specs):
-    """A chunk's census entries as t_density_grid and _lane_sum read them:
+    """A chunk's census entries as _grid_blocks and _lane_sum read them:
     its distinct (yc, rc, bc) count triples as three (T, 1) count columns,
     and per entry k of census g the index slots[k, g] of its triple and its
-    multiplicity mult[k, g] as a float (exact: it is at most 3^16),
-    zero-padded."""
+    multiplicity mult[k, g] as a float (exact: it is at most 3^16 < 2^53,
+    so both readers multiply by the scalar loop's value), zero-padded."""
     import numpy as np
 
     index = {}
@@ -178,8 +179,8 @@ def _grid_blocks(table, betas, qs):
     index and its array of shape (censuses, betas of the pass, q).  A pass
     takes one np.log per class of each (beta, q) point (an empty class at
     _EMPTY_LOG), one exponent and one np.exp per table triple, and adds
-    each census's mult * exp terms in its entry order, so every row has the
-    bits of a one-census, one-beta call (module docstring).  The passes
+    each census's mult * exp terms in its entry order, so a row has the same
+    bits in every chunk and pass (module docstring).  The passes
     share one exponent buffer and one product buffer, so no pass allocates
     an array of the table's size: fresh ones each pass make the allocator
     map and fault their pages again (22-triple grids run about 30 % slower)."""
@@ -203,22 +204,6 @@ def _grid_blocks(table, betas, qs):
         for k_slots, k_mult in zip(slots, mult):
             block += k_mult * pass_exps[k_slots]
         yield lo, block
-
-
-def t_density_grid(specs, betas, qs):
-    """t(beta, q) of each census of a list over a 1-D array of betas and a
-    1-D array of q values, as an array of shape (censuses, betas, q),
-    filled from the _grid_blocks passes on the list's _census_table."""
-    import numpy as np
-
-    betas = np.asarray(betas, dtype=float).reshape(-1, 1)
-    qs = np.asarray(qs, dtype=float)
-    _check_grid("beta", betas)
-    _check_grid("q", qs)
-    out = np.empty((len(specs), betas.size, qs.size))
-    for lo, block in _grid_blocks(_census_table(specs), betas, qs):
-        out[:, lo:lo + BETA_CHUNK] = block
-    return out
 
 
 def _lane_sum(table, graphs, y, r, b):
@@ -303,17 +288,6 @@ def _golden_lanes(table, graphs, betas, lo, hi):
     return np.where(pick, c, d), np.where(pick, fc, fd)
 
 
-@lru_cache(maxsize=None)
-def _q_grid():
-    """The Q_GRID + 1 scan points on [0, 1], as a read-only array; built on
-    first use."""
-    import numpy as np
-
-    qs = np.linspace(0.0, 1.0, Q_GRID + 1)
-    qs.flags.writeable = False
-    return qs
-
-
 def _profiles(specs, betas):
     """One CurveSample per beta of a list, for each census of a list, as
     one tuple per census: f_T = sup of t(beta, q) over q in [0, 1], its
@@ -347,8 +321,8 @@ def _profiles(specs, betas):
     once per call.  One beta takes the scalar route: _term_sum bounds,
     _golden_max per maximum and t_density at the ends.  Curves take the
     lane route: one _lane_sum for the bounds, one _golden_lanes search and
-    one _t_lanes call for both ends of every row, each lane with the
-    scalar route's bits.
+    one _t_lanes call for both ends of every row.  Both routes read the
+    same grid rows and take the scalar loop's bits for the rest.
 
     Resolution: a row that is not flat has as (row, q, t) candidates its
     grid ends, local grid maxima and refined maxima, in flat arrays; f_T is
@@ -358,7 +332,7 @@ def _profiles(specs, betas):
     np.minimum.at) and a per-row loop's multiply and compares, so its bits."""
     import numpy as np
 
-    qs, nb, ng = _q_grid(), len(betas), len(specs)
+    qs, nb, ng = np.linspace(0.0, 1.0, Q_GRID + 1), len(betas), len(specs)
     if not nb:
         return ((),) * ng
     beta_array = np.asarray(betas, dtype=float)

@@ -1,8 +1,10 @@
-"""Smoke tests: every demo runs to completion against the public API, and
-the helpers a demo defines keep their checks."""
+"""Smoke tests: every demo and the README's library quick start run to
+completion against the public API, and the helpers a demo defines keep
+their checks."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,15 +14,29 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _run_python(*args):
+    """A fresh interpreter with the source tree on its path."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 @pytest.mark.parametrize("name", ["01_six_vertex_counterexample.py",
                                   "02_type_classification.py", "03_finite_oracle.py",
                                   "04_lp_duality.py", "05_extremal_search.py"])
 def test_demo_runs(name):
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    cp = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
-                        capture_output=True, text=True,
-                        env={**os.environ, "PYTHONPATH": path})
+    cp = _run_python(str(ROOT / "demos" / name))
     assert cp.returncode == 0, cp.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    cp = _run_python("-c", block)
+    assert cp.returncode == 0, cp.stderr
+    alpha, ordered, beta, pattern = cp.stdout.splitlines()
+    assert (alpha, ordered, pattern) == ("7/2", "True", "TK")
+    assert float(beta) == pytest.approx(0.01613474, abs=1e-6)
 
 
 def _demo_module(name):

@@ -24,11 +24,11 @@ from copymax.density import (
     side_changes,
     star_density,
     t_density,
-    t_density_grid,
     _fractions,
     _census_table,
     _golden_lanes,
     _golden_max,
+    _grid_blocks,
     _lane_sum,
     _t_lanes,
     _term_sum,
@@ -45,7 +45,7 @@ from copymax.graphs import (
     write_graph6,
 )
 from copymax.hosts import class_sizes
-from copymax.weightings import spectrum
+from copymax.weightings import MAX_WEIGHTING_VERTICES, spectrum
 from oracles import (
     g6_interior_polynomial,
     g6_star_polynomial,
@@ -95,13 +95,17 @@ def test_fraction_domain():
 def test_evaluators_refuse_the_same_inputs(g6_spec):
     # NaN fails every comparison, so a min/max range check lets it through
     nan = float("nan")
-    for beta, q in ((nan, 0.5), (0.5, nan), (-0.1, 0.5), (1.1, 0.5),
-                    (0.5, -0.1), (0.5, 1.1)):
+    for q in (nan, -0.1, 1.1):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            t_density(g6_spec, 0.5, q)
+    # a sample and a curve refuse a beta with t_density's message
+    for beta in (nan, -0.1, 1.1):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]") as scalar:
-            t_density(g6_spec, beta, q)
-        for betas, qs in ((beta, [q]), ([0.2, beta], [0.3, q])):
+            t_density(g6_spec, beta, 0.5)
+        for sample in (lambda: curve_sample(g6_spec, beta),
+                       lambda: density_curve(g6_spec, sorted([0.2, beta]))):
             with pytest.raises(ValueError) as grid:
-                t_density_grid([g6_spec], betas, qs)
+                sample()
             assert str(grid.value) == str(scalar.value)
 
 
@@ -157,9 +161,17 @@ def test_density_zero_at_beta_zero(g6_spec):
     assert t_density(g6_spec, 0.0, 0.5) == 0.0
 
 
+def _grid(specs, betas, qs):
+    """The _grid_blocks passes over a census list's table, joined into one
+    array of shape (censuses, betas, q)."""
+    blocks = _grid_blocks(_census_table(specs), np.asarray(betas, dtype=float)[:, None],
+                          np.asarray(qs, dtype=float))
+    return np.concatenate([block for _, block in blocks], axis=1)
+
+
 def test_density_grid_matches_scalar(g6_spec):
     qs = np.linspace(0.0, 1.0, 65)
-    grid = t_density_grid([g6_spec], [0.037], qs)[0, 0]
+    grid = _grid([g6_spec], [0.037], qs)[0, 0]
     for q, t in zip(qs, grid):
         assert t == pytest.approx(t_density(g6_spec, 0.037, float(q)), rel=1e-12)
 
@@ -191,7 +203,7 @@ def test_evaluators_match_reference(g, beta, qs):
     for q in qs:
         assert t_density(spec, beta, q) == ref_t_density(spec, beta, q)
     for grid in (qs, np.linspace(0.0, 1.0, Q_GRID + 1)):
-        assert np.array_equal(t_density_grid([spec], [beta], grid)[0, 0],
+        assert np.array_equal(_grid([spec], [beta], grid)[0, 0],
                               ref_t_density_grid(spec, beta, grid))
     s, (value, q_star, tie) = curve_sample(spec, beta), ref_best_t_density(spec, beta)
     if _flat(spec, beta):
@@ -214,7 +226,7 @@ def test_batched_grid_rows_match_reference(graphs, betas, qs):
     # passes: every (census, beta) row has the reference's bits
     specs = [spectrum(g) for g in graphs]
     for grid in (qs, np.linspace(0.0, 1.0, Q_GRID + 1)):
-        rows = t_density_grid(specs, betas, grid)
+        rows = _grid(specs, betas, grid)
         assert rows.shape == (len(specs), len(betas), len(grid))
         for spec, census_rows in zip(specs, rows):
             for beta, row in zip(betas, census_rows):
@@ -231,7 +243,7 @@ def test_density_grid_bits_on_short_arrays():
         for size in range(1, 10):
             for _ in range(10):
                 beta, qs = float(rng.uniform()), rng.uniform(size=size)
-                assert np.array_equal(t_density_grid([spec], [beta], qs)[0, 0],
+                assert np.array_equal(_grid([spec], [beta], qs)[0, 0],
                                       ref_t_density_grid(spec, beta, qs))
 
 
@@ -339,10 +351,17 @@ def test_empty_class_rule_at_the_census_cap(name):
     scalar = [t_density(spec, beta, q) for beta, q in points]
     assert scalar == [ref_t_density(spec, beta, q) for beta, q in points]
     chunk = [spectrum(builtin_graph(n)) for n in CENSUS_CAP_GRAPHS]
-    for rows in (t_density_grid([spec], betas, qs)[0],
-                 t_density_grid(chunk, betas, qs)[CENSUS_CAP_GRAPHS.index(name)]):
+    for rows in (_grid([spec], betas, qs)[0],
+                 _grid(chunk, betas, qs)[CENSUS_CAP_GRAPHS.index(name)]):
         for beta, row in zip(betas, rows):
             assert np.array_equal(row, ref_t_density_grid(spec, beta, qs))
+    # the bit proof needs every multiplicity exact as a float: each is at
+    # most 3^v, and the census cap keeps that below 2^53
+    assert 3 ** MAX_WEIGHTING_VERTICES < 2 ** 53
+    for specs in ([spec], chunk):
+        mult = _census_table(specs)[2]
+        for g, s in enumerate(specs):
+            assert mult[:len(s.entries), g].tolist() == [m for _, m in s.entries]
     lanes = _t_lanes(_census_table([spec]), np.zeros(len(points), dtype=np.intp),
                      *(np.array(v) for v in zip(*points)))
     assert _bits(lanes.tolist()) == _bits(scalar)
